@@ -1,12 +1,6 @@
 """freqborn: relative-frequency expansion of N-copy states with concentration diagnostics."""
 
-from .combinatorics import (
-    LOG_ZERO,
-    log_binomial,
-    log_factorial,
-    log_multinomial,
-    log_sum_exp,
-)
+from .combinatorics import LOG_ZERO
 from .concentration import (
     ConvergenceScan,
     LocalizationVerdict,
@@ -24,8 +18,6 @@ from .continuum import (
     GridWavefunction,
     Region,
     multilevel_state_from_regions,
-    projector_weight,
-    projector_weights,
     read_wavefunction_csv,
     region_frequency_analysis,
     region_probability,
@@ -42,21 +34,12 @@ from .decomposition import (
     total_mass,
 )
 from .errors import CapacityError, ContractError, NormalizationError
-from .finite_run import (
-    FiniteRunDistribution,
-    finite_run_distribution,
-    outer_frequency_check,
-    surprise_index,
-)
+from .finite_run import finite_run_distribution, outer_frequency_check, surprise_index
 
 __version__ = "0.1.0"
 
 __all__ = [
     "LOG_ZERO",
-    "log_factorial",
-    "log_binomial",
-    "log_multinomial",
-    "log_sum_exp",
     "SingleCopyState",
     "FrequencyDecomposition",
     "MomentReport",
@@ -81,11 +64,8 @@ __all__ = [
     "Region",
     "read_wavefunction_csv",
     "region_probability",
-    "projector_weight",
-    "projector_weights",
     "region_frequency_analysis",
     "multilevel_state_from_regions",
-    "FiniteRunDistribution",
     "finite_run_distribution",
     "outer_frequency_check",
     "surprise_index",

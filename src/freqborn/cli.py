@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .concentration import chebyshev_bound, convergence_scan, window_masses
-from .continuum import Region, read_wavefunction_csv, region_frequency_analysis, region_probability
+from .continuum import Region, read_wavefunction_csv, region_frequency_analysis
 from .decomposition import (
     SingleCopyState,
     brute_force_decompose,
@@ -254,10 +254,9 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
     """
     psi = read_wavefunction_csv(wavefunction_path, renormalize=renormalize)
     region = Region.parse(region_text)
-    a_sq = region_probability(psi, region)
     report, window = region_frequency_analysis(psi, region, num_copies, eps)
     row = (
-        a_sq,
+        window.r0,
         num_copies,
         eps,
         report.mean,
@@ -310,8 +309,8 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     r0 = mass[observed].
     """
     state = build_state(a2, amps, renormalize)
-    dist = finite_run_distribution(state, num_measurements)
-    rows = [(n, float(mass)) for n, mass in enumerate(dist.masses.tolist())]
+    masses = finite_run_distribution(state, num_measurements)
+    rows = [(n, float(mass)) for n, mass in enumerate(masses.tolist())]
     meta = {
         "command": "finite-run",
         **state_meta(a2, amps),
@@ -320,13 +319,13 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     annotations: dict = {}
     if observed is not None:
         annotations["observed"] = observed
-        annotations["surprise_index"] = surprise_index(dist, observed)
+        annotations["surprise_index"] = surprise_index(masses, observed)
     if num_runs is not None:
         if observed is None:
             raise click.UsageError("--outer needs --observed")
         if eps is None:
             raise click.UsageError("--outer needs --eps")
-        window = outer_frequency_check(dist, num_runs, observed, eps)
+        window = outer_frequency_check(masses, num_runs, observed, eps)
         annotations["outer_runs"] = num_runs
         annotations["outer_eps"] = eps
         annotations["outer_r0"] = window.r0

@@ -1,93 +1,20 @@
 """Log-domain combinatorial kernel underlying every decomposition.
 
-All public functions return natural logarithms.  Weight zero is the
+All public functions work with natural logarithms.  Weight zero is the
 distinguished sentinel ``LOG_ZERO`` (IEEE ``-inf``): it absorbs under
-log-domain multiplication and is the identity of ``log_sum_exp``, so zero
-amplitudes never turn into tolerance questions.  Conversion back to the
+log-domain multiplication and is the identity of ``log_sum_exp_array``, so
+zero amplitudes never turn into tolerance questions.  Conversion back to the
 linear domain happens only at reporting boundaries.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 LOG_ZERO = float("-inf")
-
-MAX_FACTORIAL_ARG = 10**8
-
-# 0! .. 20! are looked up exactly; above that a log-gamma evaluation takes over.
-_EXACT_TABLE_SIZE = 21
-_LOG_FACTORIAL_TABLE = tuple(math.log(math.factorial(k)) for k in range(_EXACT_TABLE_SIZE))
-
-
-def log_factorial(n: int) -> float:
-    """ln(n!), exact-table below 21 and log-gamma above, relative error <= 1e-12."""
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n > MAX_FACTORIAL_ARG:
-        raise ValueError(f"n={n} is above the supported range {MAX_FACTORIAL_ARG}")
-    if n < _EXACT_TABLE_SIZE:
-        return _LOG_FACTORIAL_TABLE[n]
-    return float(gammaln(n + 1.0))
-
-
-def log_binomial(total: int, chosen: int) -> float:
-    """ln C(total, chosen) via log-factorial differences.
-
-    Evaluated at the smaller of ``chosen`` and ``total - chosen`` so the
-    n <-> N-n symmetry holds bit for bit.
-    """
-    total = int(total)
-    chosen = int(chosen)
-    if total < 0 or chosen < 0:
-        raise ValueError(f"arguments must be nonnegative, got ({total}, {chosen})")
-    if chosen > total:
-        raise ValueError(f"chosen={chosen} exceeds total={total}")
-    k = min(chosen, total - chosen)
-    return log_factorial(total) - log_factorial(k) - log_factorial(total - k)
-
-
-def log_multinomial(counts: Sequence[int]) -> float:
-    """ln( (sum counts)! / prod(counts_i!) ).
-
-    A two-entry list reduces to ``log_binomial`` exactly as computed.
-    """
-    counts = [int(c) for c in counts]
-    if not counts:
-        raise ValueError("counts must be nonempty")
-    if any(c < 0 for c in counts):
-        raise ValueError(f"counts must be nonnegative, got {counts}")
-    total = sum(counts)
-    if total > MAX_FACTORIAL_ARG:
-        raise ValueError(f"sum(counts)={total} is above the supported range {MAX_FACTORIAL_ARG}")
-    if len(counts) == 2:
-        return log_binomial(total, counts[0])
-    out = log_factorial(total)
-    for c in counts:
-        out -= log_factorial(c)
-    return out
-
-
-def log_sum_exp(values: Iterable[float]) -> float:
-    """log(sum(exp(v) for v in values)) with max-shift stability.
-
-    The shifted exponentials are accumulated with ``math.fsum`` (exactly
-    rounded), so the result is independent of input order bit for bit.  An
-    empty input, or one consisting only of ``LOG_ZERO``, gives ``LOG_ZERO``.
-    """
-    vals = [float(v) for v in values]
-    if not vals:
-        return LOG_ZERO
-    peak = max(vals)
-    if peak == LOG_ZERO:
-        return LOG_ZERO
-    total = math.fsum(math.exp(v - peak) for v in vals if v != LOG_ZERO)
-    return peak + math.log(total)
 
 
 def log_sum_exp_array(values: np.ndarray) -> float:
@@ -110,9 +37,10 @@ def log_sum_exp_array(values: np.ndarray) -> float:
 # keeps every intermediate small near the bulk of the mass, so sector weights
 # come out with ~1e-15 relative error where the mass lives.
 
+_EXACT_TABLE_SIZE = 21
 _STIRLERR_TABLE = np.zeros(_EXACT_TABLE_SIZE)
 for _k in range(1, _EXACT_TABLE_SIZE):
-    _STIRLERR_TABLE[_k] = _LOG_FACTORIAL_TABLE[_k] - (
+    _STIRLERR_TABLE[_k] = math.log(math.factorial(_k)) - (
         0.5 * math.log(2.0 * math.pi * _k) + _k * math.log(float(_k)) - _k
     )
 del _k

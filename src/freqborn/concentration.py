@@ -69,7 +69,7 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     a_sq = float(a_sq)
     if not 0.0 <= a_sq <= 1.0:
         raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
@@ -110,7 +110,7 @@ def window_masses(
     Strictly below r0 - eps, strictly above r0 + eps, closed window between;
     the attached bound uses the level's own probability.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     counts = decomp.level_counts(level)
     r = counts / np.float64(decomp.num_copies)
@@ -162,7 +162,7 @@ def check_localization(
     mass outside [q0 - eps, q0 + eps] is at most ``mass_tolerance``.  Works
     for any finitely supported weight map, not only frequency decompositions.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
     if mass_tolerance < 0.0:
         raise ValueError(f"mass_tolerance must be nonnegative, got {mass_tolerance!r}")
@@ -177,7 +177,7 @@ def check_localization(
     if np.any(masses < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(masses.sum())
-    if abs(total - 1.0) > LOCALIZATION_INPUT_TOLERANCE:
+    if not abs(total - 1.0) <= LOCALIZATION_INPUT_TOLERANCE:
         raise NormalizationError(
             f"weights sum to {total!r}, off 1 by more than {LOCALIZATION_INPUT_TOLERANCE}"
         )

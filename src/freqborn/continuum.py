@@ -15,9 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import occupancy_log_weights
 from .decomposition import (
-    FrequencyDecomposition,
     MomentReport,
     SingleCopyState,
     decompose_two_level,
@@ -52,13 +50,15 @@ class GridWavefunction:
         values = np.array(samples, dtype=np.complex128)
         if values.ndim != 1 or values.shape[0] == 0:
             raise ValueError("need a one-dimensional, nonempty sample vector")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("samples must be finite")
         density = values.real * values.real + values.imag * values.imag
         total = float(density.sum() * spacing)
         if renormalize:
             if total <= 0.0:
                 raise ValueError("cannot renormalize a zero wavefunction")
             values = values / math.sqrt(total)
-        elif abs(total - 1.0) > GRID_NORM_TOLERANCE:
+        elif not abs(total - 1.0) <= GRID_NORM_TOLERANCE:
             raise NormalizationError(
                 f"grid mass is {total!r}, off 1 by more than {GRID_NORM_TOLERANCE}"
             )
@@ -156,7 +156,7 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
     spacing = (x[-1] - x[0]) / (len(x) - 1)
     if not spacing > 0.0:
         raise ValueError(f"{path}: grid is not increasing")
-    if np.max(np.abs(np.diff(x) - spacing)) > UNIFORM_SPACING_RTOL * spacing:
+    if not np.max(np.abs(np.diff(x) - spacing)) <= UNIFORM_SPACING_RTOL * spacing:
         raise ValueError(f"{path}: grid spacing is not uniform within {UNIFORM_SPACING_RTOL} relative")
     samples = data[:, 1] + 1j * data[:, 2]
     return GridWavefunction(float(x[0]), float(spacing), samples, renormalize=renormalize)
@@ -171,41 +171,6 @@ def region_probability(psi: GridWavefunction, region: Region) -> float:
     mask = region.membership(psi.grid())
     mass = float(psi.probability_density()[mask].sum() * psi.spacing)
     return min(max(mass, 0.0), 1.0)
-
-
-def projector_weights(a_sq: float, num_copies: int) -> np.ndarray:
-    """All N-copy sector weights (n copies inside, n = 0..N), linear domain."""
-    a_sq = float(a_sq)
-    if not 0.0 <= a_sq <= 1.0:
-        raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
-    num_copies = int(num_copies)
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
-    ns = np.arange(num_copies + 1, dtype=np.int64)
-    log_weights = occupancy_log_weights(
-        num_copies, [ns, num_copies - ns], [a_sq, 1.0 - a_sq]
-    )
-    return np.exp(log_weights)
-
-
-def projector_weight(a_sq: float, num_copies: int, n: int) -> float:
-    """Weight of the sector with exactly ``n`` of ``num_copies`` copies inside.
-
-    Identical to the two-level sector weight at count ``n`` for the same
-    probability.
-    """
-    num_copies = int(num_copies)
-    n = int(n)
-    if not 0 <= n <= num_copies:
-        raise ValueError(f"n={n} out of range 0..{num_copies}")
-    a_sq = float(a_sq)
-    if not 0.0 <= a_sq <= 1.0:
-        raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
-    counts = np.array([n], dtype=np.int64)
-    log_weights = occupancy_log_weights(
-        num_copies, [counts, num_copies - counts], [a_sq, 1.0 - a_sq]
-    )
-    return float(np.exp(log_weights[0]))
 
 
 def region_frequency_analysis(

@@ -39,6 +39,8 @@ class SingleCopyState:
         amps = np.array(amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.shape[0] < 2:
             raise ValueError("need a one-dimensional amplitude vector with at least two levels")
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         probs = amps.real * amps.real + amps.imag * amps.imag
         total = float(np.sum(probs))
         if renormalize:
@@ -46,7 +48,7 @@ class SingleCopyState:
                 raise ValueError("cannot renormalize a zero state")
             amps = amps / math.sqrt(total)
             probs = amps.real * amps.real + amps.imag * amps.imag
-        elif abs(total - 1.0) > STATE_NORM_TOLERANCE:
+        elif not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
             raise NormalizationError(
                 f"squared amplitudes sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
             )
@@ -61,6 +63,8 @@ class SingleCopyState:
         p = np.array(probs, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] < 2:
             raise ValueError("need at least two level probabilities")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(p))
@@ -68,7 +72,7 @@ class SingleCopyState:
             if total <= 0.0:
                 raise ValueError("cannot renormalize zero probabilities")
             p = p / total
-        elif abs(total - 1.0) > STATE_NORM_TOLERANCE:
+        elif not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
             raise NormalizationError(
                 f"probabilities sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
             )

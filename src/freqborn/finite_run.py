@@ -8,67 +8,50 @@ mass, which the outer check measures through the hit-vs-miss marginal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .concentration import WindowMass, window_masses
 from .decomposition import SingleCopyState, decompose_two_level
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteRunDistribution:
-    """Masses of observing n successes in a run of ``num_measurements``."""
-
-    num_measurements: int
-    a_sq: float
-    masses: np.ndarray
-
-
-def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> FiniteRunDistribution:
-    """Outcome-count distribution of one finite run of identical measurements."""
+def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
+    """Read-only masses of observing n = 0..N_inner successes in one finite run."""
     if state.num_levels != 2:
         raise ValueError("finite_run_distribution needs a two-level state")
     decomp = decompose_two_level(state, num_measurements)
     masses = np.exp(decomp.log_weights)
     masses.setflags(write=False)
-    return FiniteRunDistribution(
-        num_measurements=int(num_measurements),
-        a_sq=float(state.level_probs[0]),
-        masses=masses,
-    )
+    return masses
+
+
+def _check_count(masses: np.ndarray, observed_count: int) -> int:
+    observed_count = int(observed_count)
+    if not 0 <= observed_count < masses.size:
+        raise ValueError(f"observed_count={observed_count} out of range 0..{masses.size - 1}")
+    return observed_count
 
 
 def outer_frequency_check(
-    dist: FiniteRunDistribution, num_runs: int, observed_count: int, eps: float
+    masses: np.ndarray, num_runs: int, observed_count: int, eps: float
 ) -> WindowMass:
     """Concentration of 'exactly observed_count successes per run' over many runs.
 
-    Uses the two-level hit-vs-miss marginal of the full (N_inner+1)-level
+    ``masses`` is a finite-run distribution over 0..N_inner successes.  Uses
+    the two-level hit-vs-miss marginal of the full (N_inner+1)-level
     expansion, which agrees with it for single-count frequencies; the window
     sits at r0 = masses[observed_count].
     """
-    observed_count = int(observed_count)
-    if not 0 <= observed_count <= dist.num_measurements:
-        raise ValueError(
-            f"observed_count={observed_count} out of range 0..{dist.num_measurements}"
-        )
-    hit_probability = float(dist.masses[observed_count])
+    hit_probability = float(masses[_check_count(masses, observed_count)])
     state = SingleCopyState.from_alpha_probability(hit_probability)
     decomp = decompose_two_level(state, num_runs)
     return window_masses(decomp, 0, hit_probability, eps)
 
 
-def surprise_index(dist: FiniteRunDistribution, observed_count: int) -> float:
+def surprise_index(masses: np.ndarray, observed_count: int) -> float:
     """Total mass of outcomes no more likely than the observed count.
 
     1.0 means maximally typical (the mode); small values flag outcomes whose
     likelihood class is collectively improbable.
     """
-    observed_count = int(observed_count)
-    if not 0 <= observed_count <= dist.num_measurements:
-        raise ValueError(
-            f"observed_count={observed_count} out of range 0..{dist.num_measurements}"
-        )
-    threshold = dist.masses[observed_count]
-    return float(dist.masses[dist.masses <= threshold].sum())
+    threshold = masses[_check_count(masses, observed_count)]
+    return float(masses[masses <= threshold].sum())

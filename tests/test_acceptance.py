@@ -19,13 +19,7 @@ from freqborn.concentration import (
     frequency_weight_map,
     window_masses,
 )
-from freqborn.continuum import (
-    GridWavefunction,
-    Region,
-    projector_weight,
-    projector_weights,
-    region_probability,
-)
+from freqborn.continuum import GridWavefunction, Region, region_probability
 from freqborn.decomposition import (
     SingleCopyState,
     brute_force_decompose,
@@ -183,13 +177,13 @@ def test_criterion_6_localization_verdicts():
 
 def test_criterion_7_region_reduction_equivalence():
     worst = 0.0
-    for a_sq in (0.25, 0.5):
-        state = SingleCopyState.from_alpha_probability(a_sq)
+    for a_sq in (Fraction(1, 4), Fraction(1, 2)):
+        state = SingleCopyState.from_alpha_probability(float(a_sq))
         for copies in (10, 100, 1000):
-            expected = np.exp(decompose_two_level(state, copies).log_weights)
-            worst = max(worst, float(np.max(np.abs(projector_weights(a_sq, copies) - expected))))
-            for n in range(0, copies + 1, max(1, copies // 20)):
-                worst = max(worst, abs(projector_weight(a_sq, copies, n) - expected[n]))
+            weights = np.exp(decompose_two_level(state, copies).log_weights)
+            for n in range(copies + 1):
+                exact = math.comb(copies, n) * a_sq**n * (1 - a_sq) ** (copies - n)
+                worst = max(worst, abs(float(weights[n]) - float(exact)))
     spacing = 0.01
     count = int(round(16.0 / spacing))
     x = -8.0 + spacing * np.arange(count)
@@ -202,20 +196,20 @@ def test_criterion_7_region_reduction_equivalence():
         7,
         "region reduction equivalence",
         worst <= 1e-12 and gaussian_ok,
-        f"max projector/two-level deviation = {worst:.3e} (tolerance 1e-12); "
+        f"max two-level/exact rational deviation = {worst:.3e} (tolerance 1e-12); "
         f"Gaussian half-line mass = {half_line:.4f} within 10h of 0.5",
     )
 
 
 def test_criterion_8_finite_run_reproduction():
-    dist = finite_run_distribution(SingleCopyState.from_alpha_probability(0.3), 100)
-    argmax = int(np.argmax(dist.masses))
+    masses = finite_run_distribution(SingleCopyState.from_alpha_probability(0.3), 100)
+    argmax = int(np.argmax(masses))
     # independent oracle: compare exact integers C(100,n) 3^n 7^(100-n)
     exact_argmax = max(
         range(101), key=lambda n: math.comb(100, n) * 3**n * 7 ** (100 - n)
     )
-    mass_total = float(dist.masses.sum())
-    window = outer_frequency_check(dist, 10**4, 30, 0.05)
+    mass_total = float(masses.sum())
+    window = outer_frequency_check(masses, 10**4, 30, 0.05)
     passed = (
         argmax == 30
         and exact_argmax == 30

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import freqborn
 from freqborn.cli import main
 from freqborn.concentration import chebyshev_bound
 from freqborn.decomposition import SingleCopyState
@@ -112,6 +116,12 @@ def test_decompose_unnormalized_amplitudes_violate_contract(runner):
     assert "numerical contract" in result.output
 
 
+def test_decompose_rejects_nan_amplitude(runner):
+    result = invoke(runner, ["decompose", "--amps", "nan,1", "--n", "2"])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
 def test_decompose_renormalize_flag(runner):
     result = invoke(runner, ["decompose", "--amps", "2,0", "--n", "3", "--renormalize"])
     assert result.exit_code == 0
@@ -151,6 +161,19 @@ def test_bound_row(runner):
     columns, rows, _ = parse_csv(result.output)
     assert columns == ["a2", "n", "eps", "bound"]
     assert float(rows[0][3]) == 0.25
+
+
+def test_scan_rejects_nan_eps(runner):
+    result = invoke(runner, ["scan", "--a2", "0.3", "--eps", "nan", "--ns", "10,100"])
+    assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("output_format", ["csv", "json"])
+def test_bound_rejects_nan_eps(runner, output_format):
+    args = ["bound", "--a2", "0.5", "--n", "100", "--eps", "nan", "--format", output_format]
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert "eps must be positive" in result.output
 
 
 # --- cv ------------------------------------------------------------------------------
@@ -208,6 +231,20 @@ def test_cv_malformed_csv_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_cv_rejects_nan_grid_point(runner, tmp_path):
+    path = tmp_path / "psi.csv"
+    write_box_csv(path)
+    lines = path.read_text().splitlines()
+    lines[50] = "nan" + lines[50][lines[50].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    result = invoke(
+        runner,
+        ["cv", "--wavefunction", str(path), "--region", "0:0.25", "--n", "100", "--eps", "0.05"],
+    )
+    assert result.exit_code == 2
+    assert "not uniform" in result.output
+
+
 # --- finite-run -----------------------------------------------------------------------
 
 
@@ -235,8 +272,8 @@ def test_finite_run_masses_and_annotations(runner):
     masses = [float(row[1]) for row in rows]
     assert math.fsum(masses) == pytest.approx(1.0, abs=1e-9)
     assert max(range(101), key=lambda n: masses[n]) == 30
-    dist = finite_run_distribution(SingleCopyState.from_alpha_probability(0.3), 100)
-    assert float(annotations["surprise_index"]) == surprise_index(dist, 30)
+    masses = finite_run_distribution(SingleCopyState.from_alpha_probability(0.3), 100)
+    assert float(annotations["surprise_index"]) == surprise_index(masses, 30)
     assert float(annotations["outer_r0"]) == pytest.approx(masses[30], rel=1e-12)
     outside = float(annotations["outer_mass_below"]) + float(annotations["outer_mass_above"])
     assert outside <= float(annotations["outer_chebyshev_bound"]) + 1e-12
@@ -342,3 +379,17 @@ def test_command_help_documents_columns(runner):
     result = invoke(runner, ["decompose", "--help"])
     assert result.exit_code == 0
     assert "log_weight" in result.output
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, freqborn.cli; "
+        "print(','.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == ""

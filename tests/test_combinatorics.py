@@ -1,22 +1,14 @@
 """Unit tests for the log-domain combinatorial kernel."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from freqborn.combinatorics import (
-    LOG_ZERO,
-    log_binomial,
-    log_factorial,
-    log_multinomial,
-    log_sum_exp,
-    log_sum_exp_array,
-    occupancy_log_weights,
-)
+from freqborn.combinatorics import LOG_ZERO, log_sum_exp_array, occupancy_log_weights
+from freqborn.decomposition import SingleCopyState, decompose_two_level
 
 
 def compositions_oracle(total, parts):
@@ -28,145 +20,139 @@ def compositions_oracle(total, parts):
             yield (first,) + rest
 
 
-# --- log_factorial ---------------------------------------------------------
+def kernel_log_multinomial(counts):
+    # ln((sum counts)! / prod counts_i!) from the kernel: at uniform
+    # probabilities 1/M the sector weight is that plus N ln(1/M)
+    total = sum(counts)
+    prob = 1.0 / len(counts)
+    columns = [np.array([c], dtype=np.int64) for c in counts]
+    weight = occupancy_log_weights(total, columns, [prob] * len(counts))[0]
+    return float(weight) - total * math.log(prob)
+
+
+def kernel_log_factorial(n):
+    # n! is the multinomial of n copies spread one per level
+    return kernel_log_multinomial([1] * n)
+
+
+def kernel_log_binomial(total, chosen):
+    return kernel_log_multinomial([chosen, total - chosen])
+
+
+def log_sum_exp_list(values):
+    # exactly rounded reference: max shift, then math.fsum over the list
+    vals = [float(v) for v in values]
+    if not vals or max(vals) == LOG_ZERO:
+        return LOG_ZERO
+    peak = max(vals)
+    return peak + math.log(math.fsum(math.exp(v - peak) for v in vals if v != LOG_ZERO))
+
+
+# --- log factorials through the kernel --------------------------------------
 
 
 def test_log_factorial_trivial_values():
-    assert log_factorial(0) == 0.0
-    assert log_factorial(1) == 0.0
+    assert kernel_log_factorial(1) == 0.0
 
 
 def test_log_factorial_ten():
     # 10! = 3628800 by direct product
-    assert log_factorial(10) == pytest.approx(math.log(3628800), abs=1e-13)
-    assert log_factorial(10) == pytest.approx(15.104412573075516, abs=1e-12)
+    assert kernel_log_factorial(10) == pytest.approx(math.log(3628800), abs=1e-13)
+    assert kernel_log_factorial(10) == pytest.approx(15.104412573075516, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 5, 13, 20, 21, 40, 100, 500, 5000])
 def test_log_factorial_matches_big_integer_oracle(n):
-    assert log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-12)
+    assert kernel_log_factorial(n) == pytest.approx(math.log(math.factorial(n)), rel=1e-12)
 
 
-def test_log_factorial_range():
-    with pytest.raises(ValueError):
-        log_factorial(-1)
-    with pytest.raises(ValueError):
-        log_factorial(10**8 + 1)
-    assert log_factorial(10**8) > 0.0
-
-
-# --- log_binomial ----------------------------------------------------------
+# --- log binomials through the kernel ---------------------------------------
 
 
 def test_log_binomial_edges():
-    assert log_binomial(7, 0) == 0.0
-    assert log_binomial(7, 7) == 0.0
-    assert log_binomial(4, 2) == pytest.approx(math.log(6), abs=1e-12)
+    assert kernel_log_binomial(7, 0) == pytest.approx(0.0, abs=1e-12)
+    assert kernel_log_binomial(7, 7) == pytest.approx(0.0, abs=1e-12)
+    assert kernel_log_binomial(4, 2) == pytest.approx(math.log(6), abs=1e-12)
 
 
 def test_log_binomial_large_matches_big_integer_oracle():
-    assert log_binomial(100, 50) == pytest.approx(math.log(math.comb(100, 50)), rel=1e-12)
+    assert kernel_log_binomial(100, 50) == pytest.approx(math.log(math.comb(100, 50)), rel=1e-12)
 
 
-def test_log_binomial_domain_error():
-    with pytest.raises(ValueError):
-        log_binomial(4, 5)
-    with pytest.raises(ValueError):
-        log_binomial(4, -1)
-
-
-@given(total=st.integers(0, 500), chosen=st.integers(0, 500))
+@given(total=st.integers(1, 500), chosen=st.integers(0, 500))
 def test_log_binomial_symmetry_bitwise(total, chosen):
+    # swapping two equal-probability levels permutes the weights bit for bit
     chosen = min(chosen, total)
-    assert log_binomial(total, chosen) == log_binomial(total, total - chosen)
+    assert kernel_log_binomial(total, chosen) == kernel_log_binomial(total, total - chosen)
 
 
 def test_pascal_recurrence_in_linear_domain():
+    # W(N, n) = p W(N-1, n-1) + (1-p) W(N-1, n) for the two-level weights
+    prob = 0.3
+    state = SingleCopyState.from_alpha_probability(prob)
+    previous = np.exp(decompose_two_level(state, 1).log_weights)
     for total in range(2, 61):
+        current = np.exp(decompose_two_level(state, total).log_weights)
         for chosen in range(1, total):
-            value = math.exp(log_binomial(total, chosen))
-            parts = math.exp(log_binomial(total - 1, chosen - 1)) + math.exp(
-                log_binomial(total - 1, chosen)
-            )
-            assert abs(value - parts) <= 1e-9 * value
+            parts = prob * previous[chosen - 1] + (1.0 - prob) * previous[chosen]
+            assert abs(current[chosen] - parts) <= 1e-9 * current[chosen]
+        previous = current
 
 
-# --- log_multinomial -------------------------------------------------------
+# --- log multinomials through the kernel ------------------------------------
 
 
 def test_log_multinomial_examples():
-    assert log_multinomial([9]) == 0.0
-    assert log_multinomial([2, 1, 1]) == pytest.approx(math.log(12), abs=1e-12)
-    assert log_multinomial([3, 3]) == log_binomial(6, 3)
-
-
-def test_log_multinomial_domain_errors():
-    with pytest.raises(ValueError):
-        log_multinomial([])
-    with pytest.raises(ValueError):
-        log_multinomial([2, -1])
+    assert kernel_log_multinomial([9]) == 0.0
+    assert kernel_log_multinomial([2, 1, 1]) == pytest.approx(math.log(12), abs=1e-12)
+    assert kernel_log_multinomial([3, 3]) == pytest.approx(math.log(20), abs=1e-12)
 
 
 def test_log_multinomial_matches_big_integer_oracle_everywhere():
-    # every composition of every N <= 30 into at most 4 parts
+    # every composition of every 1 <= N <= 30 into at most 4 parts, one kernel
+    # call per (N, parts) over all of its compositions
     for parts in range(1, 5):
-        for total in range(31):
-            for counts in compositions_oracle(total, parts):
+        prob = 1.0 / parts
+        for total in range(1, 31):
+            rows = np.array(list(compositions_oracle(total, parts)), dtype=np.int64)
+            weights = occupancy_log_weights(
+                total, [rows[:, i] for i in range(parts)], [prob] * parts
+            )
+            for counts, weight in zip(rows.tolist(), weights.tolist()):
                 exact = math.factorial(total)
                 for c in counts:
                     exact //= math.factorial(c)
-                assert log_multinomial(counts) == pytest.approx(
+                assert weight - total * math.log(prob) == pytest.approx(
                     math.log(exact), rel=1e-12, abs=1e-12
                 )
 
 
-# --- log_sum_exp -----------------------------------------------------------
+# --- log_sum_exp_array ------------------------------------------------------
 
 
 def test_log_sum_exp_empty_and_all_zero():
-    assert log_sum_exp([]) == LOG_ZERO
-    assert log_sum_exp([LOG_ZERO, LOG_ZERO]) == LOG_ZERO
+    assert log_sum_exp_array(np.array([])) == LOG_ZERO
+    assert log_sum_exp_array(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
 
 
 def test_log_sum_exp_halves():
-    assert abs(log_sum_exp([math.log(0.5), math.log(0.5)])) <= 1e-15
+    assert abs(log_sum_exp_array(np.log(np.array([0.5, 0.5])))) <= 1e-15
 
 
 def test_log_sum_exp_uniform_thousand():
-    values = [math.log(0.001)] * 1000
-    assert abs(log_sum_exp(values)) <= 1e-12
+    values = np.full(1000, math.log(0.001))
+    assert abs(log_sum_exp_array(values)) <= 1e-12
 
 
 def test_log_sum_exp_ignores_zero_sentinel():
-    assert log_sum_exp([0.0, LOG_ZERO]) == 0.0
-
-
-finite_logs = st.floats(min_value=-50.0, max_value=5.0, allow_nan=False)
-
-
-@given(values=st.lists(st.one_of(finite_logs, st.just(LOG_ZERO)), min_size=1, max_size=20))
-def test_log_sum_exp_permutation_invariant_bitwise(values):
-    assert log_sum_exp(values) == log_sum_exp(list(reversed(values)))
-    assert log_sum_exp(values) == log_sum_exp(sorted(values))
-
-
-@given(
-    values=st.lists(finite_logs, min_size=1, max_size=15),
-    index=st.integers(0, 14),
-    bump=st.floats(min_value=1e-6, max_value=10.0),
-)
-def test_log_sum_exp_monotone_in_each_argument(values, index, bump):
-    index = index % len(values)
-    bumped = list(values)
-    bumped[index] = bumped[index] + bump
-    assert log_sum_exp(bumped) >= log_sum_exp(values)
+    assert log_sum_exp_array(np.array([0.0, LOG_ZERO])) == 0.0
 
 
 def test_log_sum_exp_array_agrees_with_list_version():
     values = [math.log(w) for w in (0.1, 0.2, 0.3, 0.4)]
-    assert log_sum_exp_array(np.array(values)) == pytest.approx(log_sum_exp(values), abs=1e-14)
-    assert log_sum_exp_array(np.array([])) == LOG_ZERO
-    assert log_sum_exp_array(np.array([LOG_ZERO])) == LOG_ZERO
+    assert log_sum_exp_array(np.array(values)) == pytest.approx(log_sum_exp_list(values), abs=1e-14)
+    weights = np.log(np.random.default_rng(7).random(1000))
+    assert log_sum_exp_array(weights) == pytest.approx(log_sum_exp_list(weights), abs=1e-14)
 
 
 # --- zero sentinel algebra --------------------------------------------------
@@ -187,7 +173,7 @@ def test_occupancy_weights_match_log_binomial_route(total, prob):
     kernel = occupancy_log_weights(total, [ns, total - ns], [prob, 1.0 - prob])
     for n in range(total + 1):
         literal = (
-            log_binomial(total, n) + n * math.log(prob) + (total - n) * math.log(1.0 - prob)
+            math.log(math.comb(total, n)) + n * math.log(prob) + (total - n) * math.log(1.0 - prob)
         )
         assert kernel[n] == pytest.approx(literal, abs=1e-9)
 

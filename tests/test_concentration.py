@@ -56,6 +56,17 @@ def test_bound_validation():
         chebyshev_bound(0.5, 0, 0.1)
 
 
+def test_nan_eps_is_rejected_everywhere():
+    nan = float("nan")
+    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 10)
+    with pytest.raises(ValueError, match="eps"):
+        chebyshev_bound(0.5, 10, nan)
+    with pytest.raises(ValueError, match="eps"):
+        window_masses(decomp, 0, 0.3, nan)
+    with pytest.raises(ValueError, match="eps"):
+        check_localization({0.0: 0.5, 1.0: 0.5}, eps=nan, mass_tolerance=0.1)
+
+
 # --- nearest frequency / scaled density ----------------------------------------
 
 
@@ -261,6 +272,8 @@ def test_localization_rejects_bad_mass():
         check_localization({}, eps=0.1, mass_tolerance=0.1)
     with pytest.raises(ValueError):
         check_localization({0.0: 1.2, 1.0: -0.2}, eps=0.1, mass_tolerance=0.1)
+    with pytest.raises(NormalizationError):
+        check_localization({0.0: float("nan"), 1.0: 0.5}, eps=0.1, mass_tolerance=0.1)
 
 
 # --- frequency weight map -------------------------------------------------------------

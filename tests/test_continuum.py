@@ -9,8 +9,6 @@ from freqborn.continuum import (
     GridWavefunction,
     Region,
     multilevel_state_from_regions,
-    projector_weight,
-    projector_weights,
     read_wavefunction_csv,
     region_frequency_analysis,
     region_probability,
@@ -51,6 +49,10 @@ def test_wavefunction_validates_inputs():
         GridWavefunction(0.0, -0.1, np.ones(10))
     with pytest.raises(ValueError):
         GridWavefunction(0.0, 0.1, np.array([]))
+    with pytest.raises(ValueError, match="finite"):
+        GridWavefunction(0.0, 0.5, [1.0, float("nan")])
+    with pytest.raises(ValueError, match="finite"):
+        GridWavefunction(0.0, 0.5, [1.0, complex(0.0, float("inf"))], renormalize=True)
 
 
 # --- Region -----------------------------------------------------------------------
@@ -178,24 +180,34 @@ def test_csv_norm_failure_and_renormalize(tmp_path):
 # --- projector weights ------------------------------------------------------------------
 
 
+def projector_weights(a_sq, copies):
+    # linear N-copy weights of the projector onto a region holding a_sq of a
+    # four-point box wavefunction (a_sq a multiple of 1/4, so the region mass is exact)
+    psi = GridWavefunction(0.0, 1.0, np.full(4, 0.5))
+    region = Region.parse(f"0:{4 * a_sq}") if a_sq > 0.0 else Region(())
+    state = SingleCopyState.from_alpha_probability(region_probability(psi, region))
+    return np.exp(decompose_two_level(state, copies).log_weights)
+
+
 def test_projector_weight_quarter_example():
     # 4 * 0.25 * 0.75^3 = 0.421875, cross-checked by enumerating 2^4 sequences
-    assert projector_weight(0.25, 4, 1) == pytest.approx(0.421875, abs=1e-12)
+    assert projector_weights(0.25, 4)[1] == pytest.approx(0.421875, abs=1e-12)
 
 
 def test_projector_weight_degenerate():
-    assert projector_weight(0.0, 7, 0) == 1.0
-    assert projector_weight(0.0, 7, 3) == 0.0
-    assert projector_weight(1.0, 7, 7) == 1.0
+    assert projector_weights(0.0, 7)[0] == 1.0
+    assert projector_weights(0.0, 7)[3] == 0.0
+    assert projector_weights(1.0, 7)[7] == 1.0
 
 
 def test_projector_weight_domain_errors():
+    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 4)
     with pytest.raises(ValueError):
-        projector_weight(0.5, 4, 5)
+        decomp.log_weight_of((5, -1))
     with pytest.raises(ValueError):
-        projector_weight(0.5, 4, -1)
+        decomp.log_weight_of((-1, 5))
     with pytest.raises(ValueError):
-        projector_weight(1.5, 4, 2)
+        SingleCopyState.from_alpha_probability(1.5)
 
 
 @pytest.mark.parametrize("a_sq", [0.25, 0.5])
@@ -203,8 +215,9 @@ def test_projector_weight_domain_errors():
 def test_projector_weight_equals_two_level_weight(a_sq, copies):
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(a_sq), copies)
     expected = np.exp(decomp.log_weights)
+    weights = projector_weights(a_sq, copies)
     for n in range(0, copies + 1, max(1, copies // 25)):
-        assert abs(projector_weight(a_sq, copies, n) - expected[n]) <= 1e-12
+        assert abs(weights[n] - expected[n]) <= 1e-12
 
 
 @pytest.mark.parametrize("a_sq", [0.0, 0.25, 0.5, 1.0])

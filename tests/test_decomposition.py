@@ -35,6 +35,20 @@ def test_state_rejects_bad_norm():
         SingleCopyState([1.0, 1.0])
 
 
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_state_rejects_non_finite_amplitudes(renormalize):
+    for bad in (float("nan"), float("inf"), complex(0.0, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            SingleCopyState([bad, 1.0], renormalize=renormalize)
+
+
+@pytest.mark.parametrize("renormalize", [False, True])
+def test_from_probabilities_rejects_non_finite_values(renormalize):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SingleCopyState.from_probabilities([bad, 0.5], renormalize=renormalize)
+
+
 def test_state_renormalizes_on_request():
     state = SingleCopyState([2.0, 0.0], renormalize=True)
     assert state.level_probs[0] == pytest.approx(1.0, abs=1e-15)
