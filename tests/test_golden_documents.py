@@ -1,0 +1,95 @@
+"""Byte-level pins of the CLI's stdout documents.
+
+Each invocation's stdout is hashed with SHA-256 and compared against a hash
+recorded from a known-good build.  A refactor that keeps the documented
+schema but moves a single byte (float formatting, row order, column keys,
+metadata) fails here.  Re-record a hash only when a document is meant to
+change, and say so in the change log.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from freqborn.cli import main
+
+THREE_LEVEL = "0.6,0.6,0.5291502622129181"
+
+GOLDEN = {
+    "decompose-two-level-csv": (
+        ["decompose", "--a2", "0.3", "--n", "40"],
+        "630d0250529c0ff086dc76c80a5c392325c9756cb682f718ff943fa253b7326e",
+    ),
+    "decompose-two-level-json": (
+        ["decompose", "--a2", "0.3", "--n", "40", "--format", "json"],
+        "c9322df1695385ceeb46b4d71f149110384cefd8849224fc4e4639599334f034",
+    ),
+    "decompose-a2-zero-csv": (
+        ["decompose", "--a2", "0.0", "--n", "12"],
+        "7da4c8aa9f975ead5607247d9233fbff90da9701a10b49a5cef7ec83b30e84de",
+    ),
+    "decompose-a2-zero-json": (
+        ["decompose", "--a2", "0.0", "--n", "12", "--format", "json"],
+        "bf5a3a8eada6b5da8532b34f8fa106be43d33b5d487f9d4d38cc8de877ef85df",
+    ),
+    "decompose-complex-amps-json": (
+        ["decompose", "--amps", "0.6,0.8i", "--n", "9", "--format", "json"],
+        "be4980916431eb103dc83c4fab0e147d33973657c549b0c8d306bc542fb47c4c",
+    ),
+    "decompose-three-level-csv": (
+        ["decompose", "--amps", THREE_LEVEL, "--n", "7"],
+        "ad866768646538208aa9d91acc60e9adab0674f0188a2effe95c357b086dc021",
+    ),
+    "decompose-three-level-json": (
+        ["decompose", "--amps", THREE_LEVEL, "--n", "7", "--format", "json"],
+        "b533d215fe44524b4430ee79186e4439f3361678f30097d7a6487f5c423112ae",
+    ),
+    "scan-csv": (
+        ["scan", "--a2", "0.3", "--eps", "0.05", "--ns", "10,100,1000,10000"],
+        "cd4dbd4c0e7101e4970a99a8ee3c26148b2148e65be58d6b19a384cdf77c9c9f",
+    ),
+    "bound-csv": (
+        ["bound", "--a2", "0.3", "--n", "100", "--eps", "0.1"],
+        "a0871e597d7eb49729bade5bd57d16411f8291cb6bd4abaa2f5546472e84a6cc",
+    ),
+    "cv-csv": (
+        ["cv", "--wavefunction", "psi.csv", "--region", "0:0.25", "--n", "1000", "--eps", "0.05", "--renormalize"],
+        "abaf6218fe75ff515550d28c989eca7b3ef3d0de64f58a2db6df5975b1637655",
+    ),
+    "finite-run-csv": (
+        ["finite-run", "--a2", "0.3", "--n-inner", "20", "--observed", "9", "--outer", "50", "--eps", "0.05"],
+        "50b205a339a1d169731901da405afd8932149afba170ffbaa0f76c18c98444d8",
+    ),
+    "finite-run-json": (
+        ["finite-run", "--a2", "0.3", "--n-inner", "20", "--observed", "9", "--outer", "50", "--eps", "0.05", "--format", "json"],
+        "f92de1890658f99f3d97ac14e560b89073f539ace131353644c775d7fff93dfc",
+    ),
+    "oracle-check-two-level-csv": (
+        ["oracle-check", "--a2", "0.3", "--n", "10"],
+        "4833f141bd36a3dd304cc3ba3208e9536964036638ef3ecba2f4231638c97d03",
+    ),
+    "oracle-check-three-level-csv": (
+        ["oracle-check", "--amps", THREE_LEVEL, "--n", "6"],
+        "427e0215d02af5a283edaa07c957fd87e819438c7446f5557b9cda1852d85878",
+    ),
+}
+
+
+def write_wavefunction(path):
+    # a smooth complex profile on 200 uniform points, left unnormalized for --renormalize
+    lines = ["x,re,im"]
+    for k in range(200):
+        x = k / 200
+        lines.append(f"{x!r},{x * (1.0 - x)!r},{0.25 * x!r}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_bytes_match_recorded_hash(name, tmp_path, monkeypatch):
+    args, expected = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    write_wavefunction(tmp_path / "psi.csv")
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == expected
