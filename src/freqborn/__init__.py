@@ -9,7 +9,6 @@ from .concentration import (
     chebyshev_bound,
     check_localization,
     convergence_scan,
-    frequency_weight_map,
     nearest_frequency_weight,
     scaled_density,
     window_masses,
@@ -59,7 +58,6 @@ __all__ = [
     "window_masses",
     "convergence_scan",
     "check_localization",
-    "frequency_weight_map",
     "GridWavefunction",
     "Region",
     "read_wavefunction_csv",

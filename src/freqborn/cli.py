@@ -19,7 +19,6 @@ from .decomposition import (
     SingleCopyState,
     brute_force_decompose,
     decompose_multilevel,
-    decompose_two_level,
     frequency_moments,
 )
 from .errors import CapacityError, ContractError, NormalizationError
@@ -136,7 +135,7 @@ def main():
     Exit codes:
       0  success
       2  usage error
-      3  capacity error (see FREQBORN_MAX_N)
+      3  capacity error (a fixed size guard tripped)
       4  numerical-contract violation
     """
 
@@ -162,26 +161,20 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         "n": num_copies,
         "renormalize": renormalize,
     }
+    decomp = decompose_multilevel(state, num_copies)
+    denominator = float(num_copies)
     if state.num_levels == 2:
-        decomp = decompose_two_level(state, num_copies)
-        weights = np.exp(decomp.log_weights)
-        denominator = float(num_copies)
-        rows = [
-            (n, n / denominator, float(decomp.log_weights[n]), float(weights[n]))
-            for n in range(num_copies + 1)
-        ]
-        table = Table(("n", "r", "log_weight", "weight"), rows, meta)
+        key_column = "n"
+        ns = decomp.level_counts(0)
+        keys = ns.tolist()
+        freqs = (ns / denominator).tolist()
     else:
-        decomp = decompose_multilevel(state, num_copies)
-        weights = np.exp(decomp.log_weights)
-        denominator = float(num_copies)
-        rows = []
-        for i, (counts, log_weight) in enumerate(decomp.items()):
-            joined_counts = "|".join(str(c) for c in counts)
-            joined_r = "|".join(repr(c / denominator) for c in counts)
-            rows.append((joined_counts, joined_r, log_weight, float(weights[i])))
-        table = Table(("counts", "r", "log_weight", "weight"), rows, meta)
-    emit(table, output_format, out_path)
+        key_column = "counts"
+        occupations = [counts for counts, _ in decomp.items()]
+        keys = ["|".join(str(c) for c in counts) for counts in occupations]
+        freqs = ["|".join(repr(c / denominator) for c in counts) for counts in occupations]
+    rows = list(zip(keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist()))
+    emit(Table((key_column, "r", "log_weight", "weight"), rows, meta), output_format, out_path)
 
 
 @main.command()
@@ -349,10 +342,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     Exits 0 iff the largest per-sector weight deviation is at most 1e-12.
     """
     state = build_state(a2, amps, renormalize)
-    if state.num_levels == 2:
-        closed = decompose_two_level(state, num_copies)
-    else:
-        closed = decompose_multilevel(state, num_copies)
+    closed = decompose_multilevel(state, num_copies)
     oracle = brute_force_decompose(state, num_copies)
     closed_counts = np.column_stack(
         [closed.level_counts(i) for i in range(closed.num_levels)]

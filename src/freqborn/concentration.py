@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,29 +151,31 @@ def convergence_scan(
 
 
 def check_localization(
-    weights: Mapping[float, float] | Iterable[tuple[float, float]],
-    eps: float,
-    mass_tolerance: float,
+    r: np.ndarray, mass: np.ndarray, eps: float, mass_tolerance: float
 ) -> LocalizationVerdict:
     """Decide whether a distribution over a real variable sits in one window.
 
-    The candidate location q0 is the weighted median (first point where the
-    cumulative mass reaches half the total); the verdict is localized iff the
-    mass outside [q0 - eps, q0 + eps] is at most ``mass_tolerance``.  Works
-    for any finitely supported weight map, not only frequency decompositions.
+    ``r`` and ``mass`` are equal-length 1-D arrays of points and their masses;
+    a point may repeat, as one level's frequency does across multi-level
+    sectors.  The candidate location q0 is the weighted median (first point
+    where the cumulative mass reaches half the total); the verdict is
+    localized iff the mass outside [q0 - eps, q0 + eps] is at most
+    ``mass_tolerance``.  Works for any finitely supported distribution, not
+    only frequency decompositions.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
-    if mass_tolerance < 0.0:
+    if not mass_tolerance >= 0.0:
         raise ValueError(f"mass_tolerance must be nonnegative, got {mass_tolerance!r}")
-    if isinstance(weights, Mapping):
-        pairs = list(weights.items())
-    else:
-        pairs = [(float(q), float(w)) for q, w in weights]
-    if not pairs:
-        raise ValueError("weights must be nonempty")
-    qs = np.array([q for q, _ in pairs], dtype=np.float64)
-    masses = np.array([w for _, w in pairs], dtype=np.float64)
+    qs = np.asarray(r, dtype=np.float64)
+    masses = np.asarray(mass, dtype=np.float64)
+    if qs.ndim != 1 or qs.shape != masses.shape or qs.size == 0:
+        raise ValueError(
+            "r and mass must be nonempty 1-D arrays of equal length, "
+            f"got shapes {qs.shape} and {masses.shape}"
+        )
+    if not np.all(np.isfinite(qs)):
+        raise ValueError("points must be finite")
     if np.any(masses < 0.0):
         raise ValueError("weights must be nonnegative")
     total = float(masses.sum())
@@ -194,17 +196,3 @@ def check_localization(
         eps=float(eps),
         mass_tolerance=float(mass_tolerance),
     )
-
-
-def frequency_weight_map(decomp: FrequencyDecomposition, level: int = 0) -> dict[float, float]:
-    """Linear weights keyed by one level's relative frequency n/N.
-
-    Multi-level sectors sharing the same frequency are accumulated.
-    """
-    counts = decomp.level_counts(level)
-    r = counts / np.float64(decomp.num_copies)
-    weights = np.exp(decomp.log_weights)
-    out: dict[float, float] = {}
-    for rv, wv in zip(r.tolist(), weights.tolist()):
-        out[rv] = out.get(rv, 0.0) + wv
-    return out

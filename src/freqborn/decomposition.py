@@ -20,8 +20,9 @@ from .errors import NormalizationError, check_capacity
 
 STATE_NORM_TOLERANCE = 1e-9
 
-MAX_TWO_LEVEL_COPIES = 10**7
-MAX_SECTORS = 10**7
+# Memory guard on any decomposition; 10**7 + 1 admits a two-level N = 10**7.
+MAX_SECTORS = 10**7 + 1
+# Time guard on the oracle, which visits every outcome sequence.
 MAX_BRUTE_FORCE_SEQUENCES = 2 * 10**7
 
 
@@ -187,22 +188,12 @@ class FrequencyDecomposition:
 def decompose_two_level(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
     """Dense expansion of the N-copy state of a two-level system.
 
-    Weight at count ``n`` equals C(N,n) |a|^{2n} |b|^{2(N-n)} in the linear
-    domain; levels with zero probability yield the ``LOG_ZERO`` sentinel.
+    :func:`decompose_multilevel` restricted to two-level states: the weight
+    at count ``n`` equals C(N,n) |a|^{2n} |b|^{2(N-n)} in the linear domain.
     """
     if state.num_levels != 2:
         raise ValueError(f"state has {state.num_levels} levels, expected 2")
-    num_copies = int(num_copies)
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
-    check_capacity(num_copies, MAX_TWO_LEVEL_COPIES, "two-level decomposition copy count")
-    ns = np.arange(num_copies + 1, dtype=np.int64)
-    log_weights = occupancy_log_weights(
-        num_copies,
-        [ns, num_copies - ns],
-        [float(state.level_probs[0]), float(state.level_probs[1])],
-    )
-    return FrequencyDecomposition(num_copies, state.level_probs, log_weights)
+    return decompose_multilevel(state, num_copies)
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -231,21 +222,25 @@ def compositions(total: int, parts: int) -> np.ndarray:
 def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
     """Expansion of the N-copy state of an M-level system over all occupations.
 
-    Covers every composition of N into M parts exactly once; at M = 2 the
-    weights agree with :func:`decompose_two_level` bit for bit.
+    Covers every composition of N into M parts exactly once, in ascending
+    lexicographic order, under the ``MAX_SECTORS`` guard.  At M = 2 the
+    weights are stored densely by the count n of level 0, with no count
+    matrix.  Levels with zero probability yield the ``LOG_ZERO`` sentinel.
     """
     num_copies = int(num_copies)
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     m = state.num_levels
     sector_count = math.comb(num_copies + m - 1, m - 1)
-    check_capacity(sector_count, MAX_SECTORS, "multi-level decomposition sector count")
-    counts = compositions(num_copies, m)
-    log_weights = occupancy_log_weights(
-        num_copies,
-        [counts[:, i] for i in range(m)],
-        [float(p) for p in state.level_probs],
-    )
+    check_capacity(sector_count, MAX_SECTORS, "decomposition sector count")
+    if m == 2:
+        ns = np.arange(num_copies + 1, dtype=np.int64)
+        counts = None
+        columns = [ns, num_copies - ns]
+    else:
+        counts = compositions(num_copies, m)
+        columns = [counts[:, i] for i in range(m)]
+    log_weights = occupancy_log_weights(num_copies, columns, [float(p) for p in state.level_probs])
     return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts=counts)
 
 

@@ -1,18 +1,14 @@
-"""Exception types and capacity-guard helpers shared across the package."""
+"""Exception types and the capacity-guard helper shared across the package."""
 
 from __future__ import annotations
 
-import os
-
-MAX_N_ENV_VAR = "FREQBORN_MAX_N"
-
 
 class CapacityError(Exception):
-    """A computation would exceed a capacity guard.
+    """A computation would exceed a fixed capacity guard.
 
-    Guards can be raised (or lowered) with the FREQBORN_MAX_N environment
-    variable.  The offending size and the active limit are kept on the
-    exception so callers can report them.
+    The guards are module constants that bound memory (sector counts) and time
+    (brute-force sequence counts).  The offending size and the limit are kept
+    on the exception so callers can report them.
     """
 
     def __init__(self, message: str, requested: int | None = None, limit: int | None = None):
@@ -29,23 +25,10 @@ class ContractError(Exception):
     """A numerical contract (for example oracle agreement) was violated."""
 
 
-def capacity_limit(default: int) -> int:
-    """Effective capacity limit: the default, unless FREQBORN_MAX_N overrides it."""
-    raw = os.environ.get(MAX_N_ENV_VAR)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{MAX_N_ENV_VAR} must be an integer, got {raw!r}") from None
-
-
-def check_capacity(requested: int, default_limit: int, what: str) -> None:
-    limit = capacity_limit(default_limit)
+def check_capacity(requested: int, limit: int, what: str) -> None:
     if requested > limit:
         raise CapacityError(
-            f"{what} needs {requested}, above the limit {limit} "
-            f"(set {MAX_N_ENV_VAR} to override)",
+            f"{what} needs {requested}, above the limit {limit}",
             requested=requested,
             limit=limit,
         )

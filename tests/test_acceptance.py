@@ -16,7 +16,6 @@ from freqborn.cli import main as cli_main
 from freqborn.concentration import (
     chebyshev_bound,
     check_localization,
-    frequency_weight_map,
     window_masses,
 )
 from freqborn.continuum import GridWavefunction, Region, region_probability
@@ -158,8 +157,10 @@ def test_criterion_5_concrete_bound_value():
 
 def test_criterion_6_localization_verdicts():
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 10**5)
-    verdict = check_localization(frequency_weight_map(decomp), eps=0.01, mass_tolerance=0.021)
-    uniform = check_localization({k / 99: 0.01 for k in range(100)}, eps=0.01, mass_tolerance=0.021)
+    verdict = check_localization(
+        decomp.level_counts(0) / 10**5, np.exp(decomp.log_weights), eps=0.01, mass_tolerance=0.021
+    )
+    uniform = check_localization(np.arange(100) / 99, np.full(100, 0.01), eps=0.01, mass_tolerance=0.021)
     passed = (
         verdict.localized
         and abs(verdict.q0_estimate - 0.3) <= 0.01

@@ -127,9 +127,8 @@ def test_decompose_renormalize_flag(runner):
     assert result.exit_code == 0
 
 
-def test_decompose_capacity_exit_code(runner, monkeypatch):
-    monkeypatch.setenv("FREQBORN_MAX_N", "100")
-    result = invoke(runner, ["decompose", "--a2", "0.3", "--n", "1000"])
+def test_decompose_capacity_exit_code(runner):
+    result = invoke(runner, ["decompose", "--a2", "0.3", "--n", "10000001"])
     assert result.exit_code == 3
     assert "capacity" in result.output
 
@@ -325,14 +324,14 @@ def test_oracle_check_capacity_exit_code(runner):
 def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):
     import freqborn.cli as cli_module
 
-    true_decompose = cli_module.decompose_two_level
+    true_decompose = cli_module.decompose_multilevel
 
     def skewed(state, copies):
         decomp = true_decompose(state, copies)
         damaged = decomp.log_weights + 1e-9
         return type(decomp)(copies, state.level_probs, damaged)
 
-    monkeypatch.setattr(cli_module, "decompose_two_level", skewed)
+    monkeypatch.setattr(cli_module, "decompose_multilevel", skewed)
     result = invoke(runner, ["oracle-check", "--a2", "0.3", "--n", "6"])
     assert result.exit_code == 4
     assert "FAIL" in result.output

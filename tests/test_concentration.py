@@ -12,7 +12,6 @@ from freqborn.concentration import (
     chebyshev_bound,
     check_localization,
     convergence_scan,
-    frequency_weight_map,
     nearest_frequency_weight,
     scaled_density,
     window_masses,
@@ -28,6 +27,10 @@ from freqborn.errors import NormalizationError
 
 def two_level(prob, copies):
     return decompose_two_level(SingleCopyState.from_alpha_probability(prob), copies)
+
+
+def frequency_masses(decomp, level=0):
+    return decomp.level_counts(level) / decomp.num_copies, np.exp(decomp.log_weights)
 
 
 # --- chebyshev_bound ---------------------------------------------------------
@@ -64,7 +67,7 @@ def test_nan_eps_is_rejected_everywhere():
     with pytest.raises(ValueError, match="eps"):
         window_masses(decomp, 0, 0.3, nan)
     with pytest.raises(ValueError, match="eps"):
-        check_localization({0.0: 0.5, 1.0: 0.5}, eps=nan, mass_tolerance=0.1)
+        check_localization(np.array([0.0, 1.0]), np.array([0.5, 0.5]), eps=nan, mass_tolerance=0.1)
 
 
 # --- nearest frequency / scaled density ----------------------------------------
@@ -231,22 +234,21 @@ def test_scan_monotone_vanishing_property(prob, eps):
 
 
 def test_point_mass_is_localized():
-    verdict = check_localization({3.0: 1.0}, eps=0.01, mass_tolerance=0.0)
+    verdict = check_localization(np.array([3.0]), np.array([1.0]), eps=0.01, mass_tolerance=0.0)
     assert verdict.localized
     assert verdict.q0_estimate == 3.0
     assert verdict.residual_outside == 0.0
 
 
 def test_uniform_distribution_is_not_localized():
-    weights = {k / 99: 0.01 for k in range(100)}
-    verdict = check_localization(weights, eps=0.05, mass_tolerance=0.05)
+    verdict = check_localization(np.arange(100) / 99, np.full(100, 0.01), eps=0.05, mass_tolerance=0.05)
     assert not verdict.localized
     assert verdict.residual_outside == pytest.approx(0.91, abs=1e-9)
 
 
 def test_concentrated_decomposition_is_localized():
     decomp = two_level(0.3, 10**5)
-    verdict = check_localization(frequency_weight_map(decomp), eps=0.01, mass_tolerance=0.03)
+    verdict = check_localization(*frequency_masses(decomp), eps=0.01, mass_tolerance=0.03)
     assert verdict.localized
     assert abs(verdict.q0_estimate - 0.3) <= 0.01
     assert verdict.residual_outside <= 0.021
@@ -255,33 +257,47 @@ def test_concentrated_decomposition_is_localized():
 def test_residual_never_exceeds_bound_at_larger_copy_counts():
     for copies in (2000, 20000):
         decomp = two_level(0.3, copies)
-        verdict = check_localization(frequency_weight_map(decomp), eps=0.05, mass_tolerance=1.0)
+        verdict = check_localization(*frequency_masses(decomp), eps=0.05, mass_tolerance=1.0)
         assert verdict.residual_outside <= chebyshev_bound(0.3, copies, 0.05) + 1e-12
 
 
-def test_localization_accepts_pair_iterables():
-    verdict = check_localization([(0.0, 0.5), (1.0, 0.5)], eps=0.2, mass_tolerance=0.6)
+def test_localization_median_tie_takes_first_point():
+    # the cumulative mass reaches one half exactly at the first point: the median tie takes it
+    verdict = check_localization(np.array([0.0, 1.0]), np.array([0.5, 0.5]), eps=0.2, mass_tolerance=0.6)
     assert verdict.q0_estimate == 0.0
     assert verdict.residual_outside == pytest.approx(0.5, abs=1e-15)
 
 
 def test_localization_rejects_bad_mass():
+    nan = float("nan")
+    r = np.array([0.0, 1.0])
     with pytest.raises(NormalizationError):
-        check_localization({0.0: 0.4, 1.0: 0.4}, eps=0.1, mass_tolerance=0.1)
+        check_localization(r, np.array([0.4, 0.4]), eps=0.1, mass_tolerance=0.1)
     with pytest.raises(ValueError):
-        check_localization({}, eps=0.1, mass_tolerance=0.1)
+        check_localization(np.array([]), np.array([]), eps=0.1, mass_tolerance=0.1)
     with pytest.raises(ValueError):
-        check_localization({0.0: 1.2, 1.0: -0.2}, eps=0.1, mass_tolerance=0.1)
+        check_localization(r, np.array([1.2, -0.2]), eps=0.1, mass_tolerance=0.1)
     with pytest.raises(NormalizationError):
-        check_localization({0.0: float("nan"), 1.0: 0.5}, eps=0.1, mass_tolerance=0.1)
+        check_localization(r, np.array([nan, 0.5]), eps=0.1, mass_tolerance=0.1)
+    with pytest.raises(ValueError, match="mass_tolerance"):
+        check_localization(r, np.array([0.5, 0.5]), eps=0.1, mass_tolerance=nan)
+    with pytest.raises(ValueError, match="equal length"):
+        check_localization(r, np.array([1.0]), eps=0.1, mass_tolerance=0.1)
+    with pytest.raises(ValueError, match="equal length"):
+        check_localization(np.array([[0.0, 1.0]]), np.array([[0.5, 0.5]]), eps=0.1, mass_tolerance=0.1)
+    with pytest.raises(ValueError, match="finite"):
+        check_localization(np.array([nan, 1.0]), np.array([0.5, 0.5]), eps=0.1, mass_tolerance=0.1)
 
 
-# --- frequency weight map -------------------------------------------------------------
+# --- repeated points ---------------------------------------------------------------
 
 
-def test_frequency_weight_map_accumulates_shared_frequencies():
+def test_localization_accumulates_shared_frequencies():
+    # level-0 frequencies of the six sectors are 0, 0, 0, 1/2, 1/2, 1 with
+    # masses 1/9, 2/9, 1/9, 2/9, 2/9, 1/9: grouped, 4/9 at 0, 4/9 at 1/2, 1/9 at 1
     state = SingleCopyState.from_probabilities([1 / 3, 1 / 3, 1 / 3], renormalize=True)
-    mapping = frequency_weight_map(decompose_multilevel(state, 2), level=0)
-    assert mapping[0.0] == pytest.approx(4 / 9, abs=1e-12)
-    assert mapping[0.5] == pytest.approx(4 / 9, abs=1e-12)
-    assert mapping[1.0] == pytest.approx(1 / 9, abs=1e-12)
+    r, mass = frequency_masses(decompose_multilevel(state, 2), level=0)
+    verdict = check_localization(r, mass, eps=0.1, mass_tolerance=0.1)
+    assert verdict.q0_estimate == 0.5
+    assert verdict.residual_outside == pytest.approx(5 / 9, abs=1e-12)
+    assert not verdict.localized

@@ -112,17 +112,9 @@ def test_two_level_requires_positive_copies():
 
 
 def test_two_level_capacity_guard():
-    with pytest.raises(CapacityError):
-        decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 10**7 + 1)
-
-
-def test_capacity_guard_env_override(monkeypatch):
-    monkeypatch.setenv("FREQBORN_MAX_N", "5")
     with pytest.raises(CapacityError) as excinfo:
-        decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 6)
-    assert excinfo.value.limit == 5
-    monkeypatch.setenv("FREQBORN_MAX_N", "50")
-    decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 6)
+        decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 10**7 + 1)
+    assert excinfo.value.limit == 10**7 + 1
 
 
 def test_exact_rational_oracle_at_hundred_copies():
