@@ -13,14 +13,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .concentration import chebyshev_bound, convergence_scan, window_masses
+from .concentration import chebyshev_bound, convergence_scan
 from .continuum import Region, read_wavefunction_csv, region_frequency_analysis
-from .decomposition import (
-    SingleCopyState,
-    brute_force_decompose,
-    decompose_multilevel,
-    frequency_moments,
-)
+from .decomposition import SingleCopyState, brute_force_decompose, decompose_multilevel
 from .errors import CapacityError, ContractError, NormalizationError
 from .finite_run import finite_run_distribution, outer_frequency_check, surprise_index
 from .output import Table, render_csv, render_json, write_text
@@ -170,7 +165,7 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         freqs = (ns / denominator).tolist()
     else:
         key_column = "counts"
-        occupations = [counts for counts, _ in decomp.items()]
+        occupations = decomp.counts.tolist()
         keys = ["|".join(str(c) for c in counts) for counts in occupations]
         freqs = ["|".join(repr(c / denominator) for c in counts) for counts in occupations]
     rows = list(zip(keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist()))
@@ -344,13 +339,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     state = build_state(a2, amps, renormalize)
     closed = decompose_multilevel(state, num_copies)
     oracle = brute_force_decompose(state, num_copies)
-    closed_counts = np.column_stack(
-        [closed.level_counts(i) for i in range(closed.num_levels)]
-    )
-    oracle_counts = np.column_stack(
-        [oracle.level_counts(i) for i in range(oracle.num_levels)]
-    )
-    if not np.array_equal(closed_counts, oracle_counts):
+    if not np.array_equal(closed.counts, oracle.counts):
         raise ContractError("sector enumerations disagree between routes")
     deviation = float(
         np.max(np.abs(np.exp(closed.log_weights) - np.exp(oracle.log_weights)))

@@ -24,8 +24,11 @@ LOCALIZATION_INPUT_TOLERANCE = 1e-6
 class WindowMass:
     """Mass split at the window [r0 - eps, r0 + eps].
 
-    ``mass_below``/``mass_above`` use strict inequalities; frequencies falling
-    exactly on a boundary count as inside.
+    ``mass_below``/``mass_above`` use strict float inequalities against the
+    rounded edges ``r0 - eps`` and ``r0 + eps``, so a frequency on an exact
+    decimal edge counts as inside only when the float edge does not round
+    past it: at r0 = 0.7, eps = 0.1, N = 10 the count 8 is above, because
+    0.7 + 0.1 is 0.7999999999999999.
     """
 
     r0: float
@@ -131,8 +134,6 @@ def convergence_scan(
     state: SingleCopyState, eps: float, copy_counts: Sequence[int]
 ) -> ConvergenceScan:
     """Window analysis at r0 = |a|^2 for each N in a strictly increasing list."""
-    if state.num_levels != 2:
-        raise ValueError("convergence_scan needs a two-level state")
     counts = [int(n) for n in copy_counts]
     if not counts:
         raise ValueError("need at least one copy count")

@@ -31,8 +31,9 @@ UNIFORM_SPACING_RTOL = 1e-9
 class GridWavefunction:
     """Complex samples psi(x_k) on the uniform grid x_k = origin + k * spacing.
 
-    The left-point Riemann mass sum(|psi|^2) * spacing must be 1 within 1e-6
-    unless ``renormalize`` is set.
+    The left-point Riemann mass sum(|psi|^2) * spacing must be 1 within 1e-6;
+    with ``renormalize`` the samples are rescaled first and the rescaled mass
+    must meet the same tolerance.
     """
 
     __slots__ = ("origin", "spacing", "samples")
@@ -58,7 +59,8 @@ class GridWavefunction:
             if total <= 0.0:
                 raise ValueError("cannot renormalize a zero wavefunction")
             values = values / math.sqrt(total)
-        elif not abs(total - 1.0) <= GRID_NORM_TOLERANCE:
+            total = float((values.real * values.real + values.imag * values.imag).sum() * spacing)
+        if not abs(total - 1.0) <= GRID_NORM_TOLERANCE:
             raise NormalizationError(
                 f"grid mass is {total!r}, off 1 by more than {GRID_NORM_TOLERANCE}"
             )
@@ -146,12 +148,12 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
         raise ValueError(f"{path}: expected header x,re,im, got {rows[0]!r}")
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least two sample rows")
+    if any(len(row) != 3 for row in rows[1:]):
+        raise ValueError(f"{path}: every row needs exactly three columns")
     try:
         data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
-    if data.shape[1] != 3:
-        raise ValueError(f"{path}: every row needs exactly three columns")
     x = data[:, 0]
     spacing = (x[-1] - x[0]) / (len(x) - 1)
     if not spacing > 0.0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,10 @@ class SingleCopyState:
 
     ``level_probs`` holds the squared amplitude moduli.  States built through
     :meth:`from_probabilities` keep the given probabilities exactly instead of
-    round-tripping them through square roots.
+    round-tripping them through square roots.  With ``renormalize`` the input
+    is rescaled first and must then meet the same ``STATE_NORM_TOLERANCE``
+    gate, which rejects inputs whose squared norm overflows or underflows
+    into subnormals.
     """
 
     __slots__ = ("amplitudes", "level_probs")
@@ -49,7 +52,8 @@ class SingleCopyState:
                 raise ValueError("cannot renormalize a zero state")
             amps = amps / math.sqrt(total)
             probs = amps.real * amps.real + amps.imag * amps.imag
-        elif not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
+            total = float(np.sum(probs))
+        if not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
             raise NormalizationError(
                 f"squared amplitudes sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
             )
@@ -73,7 +77,8 @@ class SingleCopyState:
             if total <= 0.0:
                 raise ValueError("cannot renormalize zero probabilities")
             p = p / total
-        elif not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
+            total = float(np.sum(p))
+        if not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
             raise NormalizationError(
                 f"probabilities sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
             )
@@ -121,19 +126,20 @@ class MomentReport:
 class FrequencyDecomposition:
     """Sector weights of an N-copy state, in the natural-log domain.
 
-    Two-level decompositions store a dense ``(N+1,)`` weight array indexed by
-    the count of level 0; multi-level ones also carry the ``(R, M)`` count
-    matrix, rows in ascending lexicographic order.
+    ``counts`` is the read-only ``(R, M)`` int64 occupation matrix, one sector
+    per row in ascending lexicographic order, and ``log_weights[k]`` is the
+    log weight of row ``k``.  At M = 2 row ``n`` is (n, N - n), so
+    ``log_weights`` is indexed by the count of level 0.
     """
 
-    __slots__ = ("num_copies", "level_probs", "log_weights", "_counts", "_index")
+    __slots__ = ("num_copies", "level_probs", "log_weights", "counts")
 
     def __init__(
         self,
         num_copies: int,
         level_probs: np.ndarray,
         log_weights: np.ndarray,
-        counts: np.ndarray | None = None,
+        counts: np.ndarray,
     ):
         self.num_copies = int(num_copies)
         probs = np.asarray(level_probs, dtype=np.float64)
@@ -141,10 +147,8 @@ class FrequencyDecomposition:
         self.level_probs = probs
         log_weights.setflags(write=False)
         self.log_weights = log_weights
-        if counts is not None:
-            counts.setflags(write=False)
-        self._counts = counts
-        self._index: dict[tuple[int, ...], int] | None = None
+        counts.setflags(write=False)
+        self.counts = counts
 
     @property
     def num_levels(self) -> int:
@@ -158,31 +162,7 @@ class FrequencyDecomposition:
         """Copy counts of one level across all sectors."""
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} out of range for {self.num_levels} levels")
-        if self._counts is None:
-            ns = np.arange(self.num_copies + 1, dtype=np.int64)
-            return ns if level == 0 else self.num_copies - ns
-        return self._counts[:, level]
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], float]]:
-        """(counts, log weight) pairs in storage order."""
-        if self._counts is None:
-            for n, w in enumerate(self.log_weights.tolist()):
-                yield (n, self.num_copies - n), w
-        else:
-            for row, w in zip(self._counts.tolist(), self.log_weights.tolist()):
-                yield tuple(row), w
-
-    def log_weight_of(self, counts: Sequence[int]) -> float:
-        """Log weight of one occupation sector."""
-        key = tuple(int(c) for c in counts)
-        if len(key) != self.num_levels or any(c < 0 for c in key) or sum(key) != self.num_copies:
-            raise ValueError(f"{key} is not an occupation of {self.num_copies} copies "
-                             f"over {self.num_levels} levels")
-        if self._counts is None:
-            return float(self.log_weights[key[0]])
-        if self._index is None:
-            self._index = {tuple(row): i for i, row in enumerate(self._counts.tolist())}
-        return float(self.log_weights[self._index[key]])
+        return self.counts[:, level]
 
 
 def decompose_two_level(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
@@ -200,7 +180,8 @@ def compositions(total: int, parts: int) -> np.ndarray:
     """All length-``parts`` nonnegative integer vectors summing to ``total``.
 
     Rows come out in ascending lexicographic order, the fixed enumeration
-    order of every multi-level decomposition.
+    order of every decomposition.  The matrix is column-major (Fortran
+    order), so each level's column is contiguous for the weight kernel.
     """
     total = int(total)
     parts = int(parts)
@@ -208,24 +189,24 @@ def compositions(total: int, parts: int) -> np.ndarray:
         raise ValueError(f"need total >= 0 and parts >= 1, got ({total}, {parts})")
     if parts == 1:
         return np.array([[total]], dtype=np.int64)
+    # build the (parts, R) C-order transpose, whose .T is column-major
     if parts == 2:
         first = np.arange(total + 1, dtype=np.int64)
-        return np.column_stack([first, total - first])
+        return np.stack([first, total - first]).T
     blocks = []
     for first in range(total + 1):
-        rest = compositions(total - first, parts - 1)
-        head = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([head, rest]))
-    return np.vstack(blocks)
+        rest = compositions(total - first, parts - 1).T
+        head = np.full((1, rest.shape[1]), first, dtype=np.int64)
+        blocks.append(np.vstack([head, rest]))
+    return np.hstack(blocks).T
 
 
 def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
     """Expansion of the N-copy state of an M-level system over all occupations.
 
     Covers every composition of N into M parts exactly once, in ascending
-    lexicographic order, under the ``MAX_SECTORS`` guard.  At M = 2 the
-    weights are stored densely by the count n of level 0, with no count
-    matrix.  Levels with zero probability yield the ``LOG_ZERO`` sentinel.
+    lexicographic order, under the ``MAX_SECTORS`` guard.  Levels with zero
+    probability yield the ``LOG_ZERO`` sentinel.
     """
     num_copies = int(num_copies)
     if num_copies < 1:
@@ -233,15 +214,9 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
     m = state.num_levels
     sector_count = math.comb(num_copies + m - 1, m - 1)
     check_capacity(sector_count, MAX_SECTORS, "decomposition sector count")
-    if m == 2:
-        ns = np.arange(num_copies + 1, dtype=np.int64)
-        counts = None
-        columns = [ns, num_copies - ns]
-    else:
-        counts = compositions(num_copies, m)
-        columns = [counts[:, i] for i in range(m)]
-    log_weights = occupancy_log_weights(num_copies, columns, [float(p) for p in state.level_probs])
-    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts=counts)
+    counts = compositions(num_copies, m)
+    log_weights = occupancy_log_weights(num_copies, counts.T, [float(p) for p in state.level_probs])
+    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
 
 
 def total_mass(decomp: FrequencyDecomposition) -> float:
@@ -301,4 +276,4 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
     log_weights = np.array(
         [math.log(masses[k]) if masses[k] > 0.0 else LOG_ZERO for k in keys]
     )
-    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts=counts)
+    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)

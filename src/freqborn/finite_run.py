@@ -16,8 +16,6 @@ from .decomposition import SingleCopyState, decompose_two_level
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
     """Read-only masses of observing n = 0..N_inner successes in one finite run."""
-    if state.num_levels != 2:
-        raise ValueError("finite_run_distribution needs a two-level state")
     decomp = decompose_two_level(state, num_measurements)
     masses = np.exp(decomp.log_weights)
     masses.setflags(write=False)

@@ -14,7 +14,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 SCHEMA_VERSION = "v1"
 

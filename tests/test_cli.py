@@ -125,6 +125,10 @@ def test_decompose_rejects_nan_amplitude(runner):
 def test_decompose_renormalize_flag(runner):
     result = invoke(runner, ["decompose", "--amps", "2,0", "--n", "3", "--renormalize"])
     assert result.exit_code == 0
+    for amps in ("1e200,1e200", "1e-160,1e-160"):
+        result = invoke(runner, ["decompose", "--amps", amps, "--n", "2", "--renormalize"])
+        assert result.exit_code == 4
+        assert "numerical contract" in result.output
 
 
 def test_decompose_capacity_exit_code(runner):
@@ -329,7 +333,7 @@ def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):
     def skewed(state, copies):
         decomp = true_decompose(state, copies)
         damaged = decomp.log_weights + 1e-9
-        return type(decomp)(copies, state.level_probs, damaged)
+        return type(decomp)(copies, state.level_probs, damaged, decomp.counts)
 
     monkeypatch.setattr(cli_module, "decompose_multilevel", skewed)
     result = invoke(runner, ["oracle-check", "--a2", "0.3", "--n", "6"])

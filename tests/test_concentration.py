@@ -216,6 +216,12 @@ def test_scan_requires_increasing_counts():
         convergence_scan(state, 0.05, [])
 
 
+def test_scan_needs_two_levels():
+    state = SingleCopyState.from_probabilities([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match="expected 2"):
+        convergence_scan(state, 0.05, [10, 100])
+
+
 # eps capped at 0.1: above ~0.3 the top-decade outside mass underflows to an
 # exact float zero and "strictly decreasing" is unattainable in float64
 @settings(max_examples=25, deadline=None)

@@ -42,6 +42,8 @@ def test_wavefunction_validates_norm():
 def test_wavefunction_renormalizes_on_request():
     psi = GridWavefunction(0.0, 0.001, np.full(500, 1.0), renormalize=True)
     assert region_probability(psi, Region(((-1.0, 2.0),))) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(NormalizationError):
+        GridWavefunction(0.0, 0.001, np.full(500, 1e200), renormalize=True)
 
 
 def test_wavefunction_validates_inputs():
@@ -168,6 +170,13 @@ def test_csv_rejects_non_numeric_cells(tmp_path):
         read_wavefunction_csv(str(path))
 
 
+def test_csv_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "psi.csv"
+    write_csv(path, ["0.0,1.0,0.0", "0.1,1.0,0.0,0.0", "0.2,1.0,0.0"])
+    with pytest.raises(ValueError, match="three columns"):
+        read_wavefunction_csv(str(path))
+
+
 def test_csv_norm_failure_and_renormalize(tmp_path):
     path = tmp_path / "psi.csv"
     write_csv(path, [f"{k * 0.01},2.0,0.0" for k in range(100)])
@@ -175,6 +184,9 @@ def test_csv_norm_failure_and_renormalize(tmp_path):
         read_wavefunction_csv(str(path))
     psi = read_wavefunction_csv(str(path), renormalize=True)
     assert region_probability(psi, Region.parse("-1:2")) == pytest.approx(1.0, abs=1e-12)
+    write_csv(path, [f"{k * 0.01},1e200,0.0" for k in range(100)])
+    with pytest.raises(NormalizationError):
+        read_wavefunction_csv(str(path), renormalize=True)
 
 
 # --- projector weights ------------------------------------------------------------------
@@ -201,11 +213,6 @@ def test_projector_weight_degenerate():
 
 
 def test_projector_weight_domain_errors():
-    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 4)
-    with pytest.raises(ValueError):
-        decomp.log_weight_of((5, -1))
-    with pytest.raises(ValueError):
-        decomp.log_weight_of((-1, 5))
     with pytest.raises(ValueError):
         SingleCopyState.from_alpha_probability(1.5)
 

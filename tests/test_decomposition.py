@@ -52,6 +52,13 @@ def test_from_probabilities_rejects_non_finite_values(renormalize):
 def test_state_renormalizes_on_request():
     state = SingleCopyState([2.0, 0.0], renormalize=True)
     assert state.level_probs[0] == pytest.approx(1.0, abs=1e-15)
+    # the squared norm overflows to inf or loses digits in subnormals, so the
+    # rescaled state still fails the norm gate
+    for amplitudes in ([1e200, 1e200], [1e-160, 1e-160]):
+        with pytest.raises(NormalizationError):
+            SingleCopyState(amplitudes, renormalize=True)
+    with pytest.raises(NormalizationError):
+        SingleCopyState.from_probabilities([1e308, 1e308], renormalize=True)
 
 
 def test_state_accepts_tolerated_norm_slack():
@@ -146,7 +153,7 @@ def test_multilevel_uniform_three_level_example():
     # all 3^2 sequences grouped: doubles carry 1/9 each, mixed pairs 2/9
     state = SingleCopyState.from_probabilities([1 / 3, 1 / 3, 1 / 3], renormalize=True)
     decomp = decompose_multilevel(state, 2)
-    for counts, log_weight in decomp.items():
+    for counts, log_weight in zip(decomp.counts.tolist(), decomp.log_weights.tolist()):
         expected = 1 / 9 if 2 in counts else 2 / 9
         assert math.exp(log_weight) == pytest.approx(expected, abs=1e-12)
 
@@ -154,16 +161,16 @@ def test_multilevel_uniform_three_level_example():
 def test_multilevel_degenerate_amplitudes():
     state = SingleCopyState.from_probabilities([1.0, 0.0, 0.0])
     decomp = decompose_multilevel(state, 4)
-    assert decomp.log_weight_of((4, 0, 0)) == 0.0
-    dead = [w for counts, w in decomp.items() if counts != (4, 0, 0)]
-    assert all(w == LOG_ZERO for w in dead)
+    rows = dict(zip(map(tuple, decomp.counts.tolist()), decomp.log_weights.tolist()))
+    assert rows.pop((4, 0, 0)) == 0.0
+    assert all(w == LOG_ZERO for w in rows.values())
 
 
 def test_multilevel_zero_level_matches_reduced_two_level():
     state = SingleCopyState.from_probabilities([0.5, 0.5, 0.0])
     reduced = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 3)
     decomp = decompose_multilevel(state, 3)
-    for counts, log_weight in decomp.items():
+    for counts, log_weight in zip(decomp.counts.tolist(), decomp.log_weights.tolist()):
         if counts[2] > 0:
             assert log_weight == LOG_ZERO
         else:
@@ -194,9 +201,11 @@ def test_multilevel_capacity_guard_reports_sector_count():
 def test_brute_force_single_copy_weights_are_level_probs():
     state = SingleCopyState.from_probabilities([0.2, 0.3, 0.5])
     oracle = brute_force_decompose(state, 1)
-    assert math.exp(oracle.log_weight_of((1, 0, 0))) == pytest.approx(0.2, abs=1e-15)
-    assert math.exp(oracle.log_weight_of((0, 1, 0))) == pytest.approx(0.3, abs=1e-15)
-    assert math.exp(oracle.log_weight_of((0, 0, 1))) == pytest.approx(0.5, abs=1e-15)
+    assert oracle.counts.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    weights = np.exp(oracle.log_weights)
+    assert weights[0] == pytest.approx(0.5, abs=1e-15)
+    assert weights[1] == pytest.approx(0.3, abs=1e-15)
+    assert weights[2] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_brute_force_capacity_guard():
@@ -336,19 +345,30 @@ def test_marginalizing_multilevel_reproduces_two_level():
 # --- container behaviour --------------------------------------------------------
 
 
-def test_items_and_lookup_dense_path():
+def test_two_level_count_rows():
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 3)
-    listed = list(decomp.items())
-    assert [counts for counts, _ in listed] == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert decomp.log_weight_of((1, 2)) == decomp.log_weights[1]
+    assert decomp.counts.tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
 
 
-def test_lookup_rejects_bad_occupations():
-    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 3)
+@pytest.mark.parametrize(
+    "build,probs,copies",
+    [
+        (decompose_multilevel, [0.3, 0.7], 9),
+        (decompose_multilevel, [0.2, 0.3, 0.5], 6),
+        (brute_force_decompose, [0.2, 0.3, 0.5], 4),
+    ],
+)
+def test_counts_matrix_is_the_sector_table(build, probs, copies):
+    decomp = build(SingleCopyState.from_probabilities(probs), copies)
+    counts = decomp.counts
+    assert counts.dtype == np.int64
+    assert counts.shape == (decomp.num_sectors, len(probs))
+    assert np.all(counts.sum(axis=1) == copies)
+    rows = [tuple(row) for row in counts.tolist()]
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert np.array_equal(counts, compositions(copies, len(probs)))
     with pytest.raises(ValueError):
-        decomp.log_weight_of((1, 1))
-    with pytest.raises(ValueError):
-        decomp.log_weight_of((1, 2, 0))
+        counts[0, 0] = 1
 
 
 def test_log_weights_are_immutable():
