@@ -2,9 +2,7 @@
 
 from .combinatorics import LOG_ZERO
 from .concentration import (
-    ConvergenceScan,
     LocalizationVerdict,
-    ScanRecord,
     WindowMass,
     chebyshev_bound,
     check_localization,
@@ -49,8 +47,6 @@ __all__ = [
     "brute_force_decompose",
     "compositions",
     "WindowMass",
-    "ScanRecord",
-    "ConvergenceScan",
     "LocalizationVerdict",
     "chebyshev_bound",
     "nearest_frequency_weight",

@@ -95,6 +95,8 @@ def build_state(a2: float | None, amps: str | None, renormalize: bool) -> Single
     if (a2 is None) == (amps is None):
         raise click.UsageError("provide exactly one of --a2 or --amps")
     if a2 is not None:
+        if renormalize:
+            raise click.UsageError("--renormalize applies to --amps, not --a2")
         return SingleCopyState.from_alpha_probability(a2)
     return SingleCopyState(parse_amplitudes(amps), renormalize=renormalize)
 
@@ -187,15 +189,10 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     """
     state = build_state(a2, amps, renormalize)
     counts = parse_int_list(ns, "--ns")
-    result = convergence_scan(state, eps, counts)
+    windows = convergence_scan(state, eps, counts)
     rows = [
-        (
-            record.num_copies,
-            record.window.mass_outside,
-            record.window.chebyshev_bound,
-            record.window.mass_inside,
-        )
-        for record in result.records
+        (n, window.mass_outside, window.chebyshev_bound, window.mass_inside)
+        for n, window in zip(counts, windows)
     ]
     meta = {"command": "scan", **state_meta(a2, amps), "ns": ns, "eps": eps}
     emit(Table(("n", "outside_mass", "bound", "inside_mass"), rows, meta), output_format, out_path)
@@ -298,7 +295,7 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     """
     state = build_state(a2, amps, renormalize)
     masses = finite_run_distribution(state, num_measurements)
-    rows = [(n, float(mass)) for n, mass in enumerate(masses.tolist())]
+    rows = list(enumerate(masses.tolist()))
     meta = {
         "command": "finite-run",
         **state_meta(a2, amps),

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import FrequencyDecomposition, SingleCopyState, decompose_two_level
-from .errors import NormalizationError
+from .errors import unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 
@@ -44,27 +44,10 @@ class WindowMass:
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    num_copies: int
-    window: WindowMass
-
-
-@dataclass(frozen=True)
-class ConvergenceScan:
-    """Window analyses at r0 = |a|^2 for an increasing list of copy counts."""
-
-    level_probs: tuple[float, ...]
-    eps: float
-    records: tuple[ScanRecord, ...]
-
-
-@dataclass(frozen=True)
 class LocalizationVerdict:
     localized: bool
     q0_estimate: float
     residual_outside: float
-    eps: float
-    mass_tolerance: float
 
 
 def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
@@ -132,23 +115,15 @@ def window_masses(
 
 def convergence_scan(
     state: SingleCopyState, eps: float, copy_counts: Sequence[int]
-) -> ConvergenceScan:
-    """Window analysis at r0 = |a|^2 for each N in a strictly increasing list."""
+) -> tuple[WindowMass, ...]:
+    """Windows at r0 = |a|^2, one per N of a strictly increasing list, in order."""
     counts = [int(n) for n in copy_counts]
     if not counts:
         raise ValueError("need at least one copy count")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"copy counts must be strictly increasing, got {counts}")
     a_sq = float(state.level_probs[0])
-    records = []
-    for n in counts:
-        decomp = decompose_two_level(state, n)
-        records.append(ScanRecord(num_copies=n, window=window_masses(decomp, 0, a_sq, eps)))
-    return ConvergenceScan(
-        level_probs=tuple(float(p) for p in state.level_probs),
-        eps=float(eps),
-        records=tuple(records),
-    )
+    return tuple(window_masses(decompose_two_level(state, n), 0, a_sq, eps) for n in counts)
 
 
 def check_localization(
@@ -161,8 +136,10 @@ def check_localization(
     sectors.  The candidate location q0 is the weighted median (first point
     where the cumulative mass reaches half the total); the verdict is
     localized iff the mass outside [q0 - eps, q0 + eps] is at most
-    ``mass_tolerance``.  Works for any finitely supported distribution, not
-    only frequency decompositions.
+    ``mass_tolerance``.  The masses must sum to 1 within
+    ``LOCALIZATION_INPUT_TOLERANCE`` (checked by
+    :func:`~freqborn.errors.unit_mass`, no rescaling).  Works for any finitely
+    supported distribution, not only frequency decompositions.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
@@ -179,21 +156,11 @@ def check_localization(
         raise ValueError("points must be finite")
     if np.any(masses < 0.0):
         raise ValueError("weights must be nonnegative")
-    total = float(masses.sum())
-    if not abs(total - 1.0) <= LOCALIZATION_INPUT_TOLERANCE:
-        raise NormalizationError(
-            f"weights sum to {total!r}, off 1 by more than {LOCALIZATION_INPUT_TOLERANCE}"
-        )
+    unit_mass(masses, 1.0, LOCALIZATION_INPUT_TOLERANCE, False, "weight")
     order = np.argsort(qs, kind="stable")
     qs = qs[order]
     masses = masses[order]
     cumulative = np.cumsum(masses)
-    q0 = float(qs[np.searchsorted(cumulative, 0.5 * total)])
+    q0 = float(qs[np.searchsorted(cumulative, 0.5 * cumulative[-1])])
     outside = float(masses[(qs < q0 - eps) | (qs > q0 + eps)].sum())
-    return LocalizationVerdict(
-        localized=outside <= mass_tolerance,
-        q0_estimate=q0,
-        residual_outside=outside,
-        eps=float(eps),
-        mass_tolerance=float(mass_tolerance),
-    )
+    return LocalizationVerdict(outside <= mass_tolerance, q0, outside)

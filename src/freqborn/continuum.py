@@ -9,7 +9,6 @@ decomposition.  Half-open intervals make region membership a partition.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +21,7 @@ from .decomposition import (
     frequency_moments,
 )
 from .concentration import WindowMass, window_masses
-from .errors import NormalizationError
+from .errors import unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
 UNIFORM_SPACING_RTOL = 1e-9
@@ -31,9 +30,10 @@ UNIFORM_SPACING_RTOL = 1e-9
 class GridWavefunction:
     """Complex samples psi(x_k) on the uniform grid x_k = origin + k * spacing.
 
-    The left-point Riemann mass sum(|psi|^2) * spacing must be 1 within 1e-6;
-    with ``renormalize`` the samples are rescaled first and the rescaled mass
-    must meet the same tolerance.
+    The left-point Riemann mass sum(|psi|^2) * spacing must be 1 within 1e-6,
+    checked by :func:`~freqborn.errors.unit_mass`; with ``renormalize`` the
+    samples are rescaled first, and samples whose mass overflows to inf or
+    falls into subnormals are rejected with the total named.
     """
 
     __slots__ = ("origin", "spacing", "samples")
@@ -53,17 +53,7 @@ class GridWavefunction:
             raise ValueError("need a one-dimensional, nonempty sample vector")
         if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
-        density = values.real * values.real + values.imag * values.imag
-        total = float(density.sum() * spacing)
-        if renormalize:
-            if total <= 0.0:
-                raise ValueError("cannot renormalize a zero wavefunction")
-            values = values / math.sqrt(total)
-            total = float((values.real * values.real + values.imag * values.imag).sum() * spacing)
-        if not abs(total - 1.0) <= GRID_NORM_TOLERANCE:
-            raise NormalizationError(
-                f"grid mass is {total!r}, off 1 by more than {GRID_NORM_TOLERANCE}"
-            )
+        values, _ = unit_mass(values, spacing, GRID_NORM_TOLERANCE, renormalize, "grid mass")
         values.setflags(write=False)
         self.origin = float(origin)
         self.spacing = spacing

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import LOG_ZERO, log_sum_exp_array, occupancy_log_weights
-from .errors import NormalizationError, check_capacity
+from .errors import check_capacity, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
@@ -31,10 +31,11 @@ class SingleCopyState:
 
     ``level_probs`` holds the squared amplitude moduli.  States built through
     :meth:`from_probabilities` keep the given probabilities exactly instead of
-    round-tripping them through square roots.  With ``renormalize`` the input
-    is rescaled first and must then meet the same ``STATE_NORM_TOLERANCE``
-    gate, which rejects inputs whose squared norm overflows or underflows
-    into subnormals.
+    round-tripping them through square roots.  Both constructors pass the
+    input through :func:`~freqborn.errors.unit_mass` at
+    ``STATE_NORM_TOLERANCE``: with ``renormalize`` it is rescaled first, and
+    an input whose squared norm overflows to inf or falls into subnormals is
+    rejected with the total named.
     """
 
     __slots__ = ("amplitudes", "level_probs")
@@ -45,18 +46,7 @@ class SingleCopyState:
             raise ValueError("need a one-dimensional amplitude vector with at least two levels")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        probs = amps.real * amps.real + amps.imag * amps.imag
-        total = float(np.sum(probs))
-        if renormalize:
-            if total <= 0.0:
-                raise ValueError("cannot renormalize a zero state")
-            amps = amps / math.sqrt(total)
-            probs = amps.real * amps.real + amps.imag * amps.imag
-            total = float(np.sum(probs))
-        if not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
-            raise NormalizationError(
-                f"squared amplitudes sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
-            )
+        amps, probs = unit_mass(amps, 1.0, STATE_NORM_TOLERANCE, renormalize, "squared amplitude")
         amps.setflags(write=False)
         probs.setflags(write=False)
         self.amplitudes = amps
@@ -72,16 +62,7 @@ class SingleCopyState:
             raise ValueError("probabilities must be finite")
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
-        total = float(np.sum(p))
-        if renormalize:
-            if total <= 0.0:
-                raise ValueError("cannot renormalize zero probabilities")
-            p = p / total
-            total = float(np.sum(p))
-        if not abs(total - 1.0) <= STATE_NORM_TOLERANCE:
-            raise NormalizationError(
-                f"probabilities sum to {total!r}, off 1 by more than {STATE_NORM_TOLERANCE}"
-            )
+        p, _ = unit_mass(p, 1.0, STATE_NORM_TOLERANCE, renormalize, "probability")
         state = cls.__new__(cls)
         amps = np.sqrt(p).astype(np.complex128)
         amps.setflags(write=False)
@@ -108,19 +89,15 @@ class SingleCopyState:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Mean and variance of one level's relative frequency, against prediction.
+    """Mean and variance of one level's relative frequency.
 
-    The variance is centered at the level probability, not at the empirical
+    The variance is centered at the level probability p, not at the empirical
     mean; ``predicted_variance`` is p(1-p)/N.
     """
 
-    level: int
     mean: float
     variance: float
-    predicted_mean: float
     predicted_variance: float
-    mean_deviation: float
-    variance_deviation: float
 
 
 class FrequencyDecomposition:
@@ -236,16 +213,7 @@ def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentR
     weights = np.exp(decomp.log_weights)
     mean = float(np.dot(r, weights))
     variance = float(np.dot((r - prob) ** 2, weights))
-    predicted = prob * (1.0 - prob) / decomp.num_copies
-    return MomentReport(
-        level=int(level),
-        mean=mean,
-        variance=variance,
-        predicted_mean=prob,
-        predicted_variance=predicted,
-        mean_deviation=abs(mean - prob),
-        variance_deviation=abs(variance - predicted),
-    )
+    return MomentReport(mean, variance, prob * (1.0 - prob) / decomp.num_copies)
 
 
 def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:

@@ -33,19 +33,13 @@ class Table:
     annotations: dict[str, Any] = field(default_factory=dict)
 
 
-def format_value(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def render_csv(table: Table) -> str:
     lines = [f"#schema={SCHEMA_VERSION}"]
     lines.append(",".join(table.columns))
     for row in table.rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(str, row)))
     for key, value in table.annotations.items():
-        lines.append(f"#{key}={format_value(value)}")
+        lines.append(f"#{key}={value}")
     return "\n".join(lines) + "\n"
 
 

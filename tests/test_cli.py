@@ -125,10 +125,18 @@ def test_decompose_rejects_nan_amplitude(runner):
 def test_decompose_renormalize_flag(runner):
     result = invoke(runner, ["decompose", "--amps", "2,0", "--n", "3", "--renormalize"])
     assert result.exit_code == 0
-    for amps in ("1e200,1e200", "1e-160,1e-160"):
+    # the overflowed or subnormal total is named, and is not rescaled first
+    for amps, total in (("1e200,1e200", "is inf,"), ("1e-160,1e-160", "is 2e-320,"), ("1e-170,1e-170", "is 0.0,")):
         result = invoke(runner, ["decompose", "--amps", amps, "--n", "2", "--renormalize"])
         assert result.exit_code == 4
         assert "numerical contract" in result.output
+        assert total in result.output
+    result = invoke(runner, ["decompose", "--amps", "0,0", "--n", "2", "--renormalize"])
+    assert result.exit_code == 2
+    # --renormalize has nothing to rescale in the --a2 shorthand
+    result = invoke(runner, ["decompose", "--a2", "0.3", "--n", "2", "--renormalize", "--format", "json"])
+    assert result.exit_code == 2
+    assert "--renormalize" in result.output
 
 
 def test_decompose_capacity_exit_code(runner):
@@ -396,3 +404,21 @@ def test_cli_import_does_not_load_scipy():
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == ""
+
+
+def test_cli_overflowing_renormalize_reports_one_line():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "freqborn.cli", "decompose", "--amps", "1e200,1e200", "--n", "2", "--renormalize"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 4
+    assert child.stdout == ""
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1, child.stderr
+    assert "inf" in lines[0]
+    assert "RuntimeWarning" not in child.stderr

@@ -190,22 +190,24 @@ def test_window_masses_multilevel_level_selection():
 
 def test_scan_outside_mass_strictly_decreases_by_decade():
     state = SingleCopyState.from_alpha_probability(0.3)
-    scan = convergence_scan(state, 0.05, [100, 1000, 10000])
-    outside = [record.window.mass_outside for record in scan.records]
+    windows = convergence_scan(state, 0.05, [100, 1000, 10000])
+    outside = [window.mass_outside for window in windows]
     assert outside[0] > outside[1] > outside[2]
 
 
 def test_scan_bound_column_is_the_formula():
     state = SingleCopyState.from_alpha_probability(0.4)
-    scan = convergence_scan(state, 0.05, [10, 100])
-    for record in scan.records:
-        expected = chebyshev_bound(0.4, record.num_copies, 0.05)
-        assert record.window.chebyshev_bound == expected
+    ns = [10, 100]
+    windows = convergence_scan(state, 0.05, ns)
+    assert len(windows) == len(ns)
+    for n, window in zip(ns, windows):
+        expected = chebyshev_bound(0.4, n, 0.05)
+        assert window.chebyshev_bound == expected
 
 
 def test_scan_degenerate_state_has_zero_outside_mass():
-    scan = convergence_scan(SingleCopyState([1.0, 0.0]), 0.05, [10, 100, 1000])
-    assert all(record.window.mass_outside == 0.0 for record in scan.records)
+    windows = convergence_scan(SingleCopyState([1.0, 0.0]), 0.05, [10, 100, 1000])
+    assert all(window.mass_outside == 0.0 for window in windows)
 
 
 def test_scan_requires_increasing_counts():
@@ -231,8 +233,8 @@ def test_scan_needs_two_levels():
 )
 def test_scan_monotone_vanishing_property(prob, eps):
     state = SingleCopyState.from_alpha_probability(prob)
-    scan = convergence_scan(state, eps, [100, 1000, 10000])
-    outside = [record.window.mass_outside for record in scan.records]
+    windows = convergence_scan(state, eps, [100, 1000, 10000])
+    outside = [window.mass_outside for window in windows]
     assert outside[0] > outside[1] > outside[2]
 
 

@@ -52,13 +52,16 @@ def test_from_probabilities_rejects_non_finite_values(renormalize):
 def test_state_renormalizes_on_request():
     state = SingleCopyState([2.0, 0.0], renormalize=True)
     assert state.level_probs[0] == pytest.approx(1.0, abs=1e-15)
-    # the squared norm overflows to inf or loses digits in subnormals, so the
-    # rescaled state still fails the norm gate
-    for amplitudes in ([1e200, 1e200], [1e-160, 1e-160]):
-        with pytest.raises(NormalizationError):
+    # a squared norm that overflows to inf or falls into subnormals is not
+    # rescaled, and the gate names it
+    for amplitudes, total in (([1e200, 1e200], "is inf,"), ([1e-160, 1e-160], "is 2e-320,"), ([1e-170, 1e-170], "is 0.0,")):
+        with pytest.raises(NormalizationError, match=total):
             SingleCopyState(amplitudes, renormalize=True)
-    with pytest.raises(NormalizationError):
+    with pytest.raises(NormalizationError, match="is inf,"):
         SingleCopyState.from_probabilities([1e308, 1e308], renormalize=True)
+    with pytest.raises(ValueError, match="zero") as info:
+        SingleCopyState([0.0, 0.0], renormalize=True)
+    assert not isinstance(info.value, NormalizationError)
 
 
 def test_state_accepts_tolerated_norm_slack():
@@ -275,7 +278,7 @@ def test_normalization_and_moment_identities(prob, copies):
     decomp = decompose_two_level(state, copies)
     assert abs(total_mass(decomp) - 1.0) <= 1e-10
     report = frequency_moments(decomp, 0)
-    assert report.mean_deviation <= 1e-10
+    assert abs(report.mean - prob) <= 1e-10
     predicted = prob * (1.0 - prob) / copies
     assert abs(report.variance - predicted) <= 1e-10 * max(predicted, 1e-30)
 
@@ -303,10 +306,10 @@ def test_moment_report_multilevel_first_level():
 def test_moment_identities_hold_for_every_level():
     state = SingleCopyState.from_probabilities([0.1, 0.2, 0.3, 0.4])
     decomp = decompose_multilevel(state, 40)
-    for level in range(4):
+    for level, p in enumerate([0.1, 0.2, 0.3, 0.4]):
         report = frequency_moments(decomp, level)
-        assert report.mean_deviation <= 1e-10
-        assert report.variance_deviation <= 1e-10 * report.predicted_variance
+        assert abs(report.mean - p) <= 1e-10
+        assert abs(report.variance - report.predicted_variance) <= 1e-10 * report.predicted_variance
 
 
 def test_moment_report_bad_level():
