@@ -112,6 +112,11 @@ def parse_int_list(text: str, name: str) -> list[int]:
         raise ValueError(f"{name} must be a comma-separated integer list, got {text!r}") from None
 
 
+def _joined_columns(format_cell, columns: list[list]) -> list[str]:
+    """Per-row '|'-joins of the formatted cells of each column."""
+    return list(map("|".join, zip(*[map(format_cell, column) for column in columns])))
+
+
 def emit(table: Table, output_format: str, out_path: str | None) -> None:
     if output_format == "csv":
         write_text(render_csv(table), out_path)
@@ -167,11 +172,10 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         freqs = (ns / denominator).tolist()
     else:
         key_column = "counts"
-        occupations = decomp.counts.tolist()
-        keys = ["|".join(str(c) for c in counts) for counts in occupations]
-        freqs = ["|".join(repr(c / denominator) for c in counts) for counts in occupations]
-    rows = list(zip(keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist()))
-    emit(Table((key_column, "r", "log_weight", "weight"), rows, meta), output_format, out_path)
+        keys = _joined_columns(str, decomp.counts.T.tolist())
+        freqs = _joined_columns(repr, (decomp.counts / denominator).T.tolist())
+    data = (keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist())
+    emit(Table((key_column, "r", "log_weight", "weight"), data, meta), output_format, out_path)
 
 
 @main.command()
@@ -190,12 +194,14 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     state = build_state(a2, amps, renormalize)
     counts = parse_int_list(ns, "--ns")
     windows = convergence_scan(state, eps, counts)
-    rows = [
-        (n, window.mass_outside, window.chebyshev_bound, window.mass_inside)
-        for n, window in zip(counts, windows)
-    ]
+    data = (
+        counts,
+        [window.mass_outside for window in windows],
+        [window.chebyshev_bound for window in windows],
+        [window.mass_inside for window in windows],
+    )
     meta = {"command": "scan", **state_meta(a2, amps), "ns": ns, "eps": eps}
-    emit(Table(("n", "outside_mass", "bound", "inside_mass"), rows, meta), output_format, out_path)
+    emit(Table(("n", "outside_mass", "bound", "inside_mass"), data, meta), output_format, out_path)
 
 
 @main.command()
@@ -212,7 +218,8 @@ def bound(a2, num_copies, eps, output_format, out_path):
     """
     value = chebyshev_bound(a2, num_copies, eps)
     meta = {"command": "bound", "a2": a2, "n": num_copies, "eps": eps}
-    emit(Table(("a2", "n", "eps", "bound"), [(a2, num_copies, eps, value)], meta), output_format, out_path)
+    data = ([a2], [num_copies], [eps], [value])
+    emit(Table(("a2", "n", "eps", "bound"), data, meta), output_format, out_path)
 
 
 @main.command()
@@ -240,17 +247,17 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
     psi = read_wavefunction_csv(wavefunction_path, renormalize=renormalize)
     region = Region.parse(region_text)
     report, window = region_frequency_analysis(psi, region, num_copies, eps)
-    row = (
-        window.r0,
-        num_copies,
-        eps,
-        report.mean,
-        report.variance,
-        report.predicted_variance,
-        window.mass_below,
-        window.mass_inside,
-        window.mass_above,
-        window.chebyshev_bound,
+    data = (
+        [window.r0],
+        [num_copies],
+        [eps],
+        [report.mean],
+        [report.variance],
+        [report.predicted_variance],
+        [window.mass_below],
+        [window.mass_inside],
+        [window.mass_above],
+        [window.chebyshev_bound],
     )
     meta = {
         "command": "cv",
@@ -272,7 +279,7 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
         "mass_above",
         "chebyshev_bound",
     )
-    emit(Table(columns, [row], meta), output_format, out_path)
+    emit(Table(columns, data, meta), output_format, out_path)
 
 
 @main.command("finite-run")
@@ -295,7 +302,6 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     """
     state = build_state(a2, amps, renormalize)
     masses = finite_run_distribution(state, num_measurements)
-    rows = list(enumerate(masses.tolist()))
     meta = {
         "command": "finite-run",
         **state_meta(a2, amps),
@@ -318,7 +324,8 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
         annotations["outer_mass_inside"] = window.mass_inside
         annotations["outer_mass_above"] = window.mass_above
         annotations["outer_chebyshev_bound"] = window.chebyshev_bound
-    emit(Table(("n", "mass"), rows, meta, annotations), output_format, out_path)
+    data = (range(masses.size), masses.tolist())
+    emit(Table(("n", "mass"), data, meta, annotations), output_format, out_path)
 
 
 @main.command("oracle-check")
@@ -343,16 +350,16 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     )
     passed = deviation <= ORACLE_TOLERANCE
     meta = {"command": "oracle-check", **state_meta(a2, amps), "n": num_copies}
-    row = (
-        state.num_levels,
-        num_copies,
-        closed.num_sectors,
-        deviation,
-        ORACLE_TOLERANCE,
-        "PASS" if passed else "FAIL",
+    data = (
+        [state.num_levels],
+        [num_copies],
+        [closed.num_sectors],
+        [deviation],
+        [ORACLE_TOLERANCE],
+        ["PASS" if passed else "FAIL"],
     )
     emit(
-        Table(("levels", "n", "sectors", "max_abs_deviation", "threshold", "status"), [row], meta),
+        Table(("levels", "n", "sectors", "max_abs_deviation", "threshold", "status"), data, meta),
         output_format,
         out_path,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -24,11 +25,12 @@ LOCALIZATION_INPUT_TOLERANCE = 1e-6
 class WindowMass:
     """Mass split at the window [r0 - eps, r0 + eps].
 
-    ``mass_below``/``mass_above`` use strict float inequalities against the
-    rounded edges ``r0 - eps`` and ``r0 + eps``, so a frequency on an exact
-    decimal edge counts as inside only when the float edge does not round
-    past it: at r0 = 0.7, eps = 0.1, N = 10 the count 8 is above, because
-    0.7 + 0.1 is 0.7999999999999999.
+    The edges are exact decimals: ``r0`` and ``eps`` are read as the decimal
+    their shortest ``repr`` prints (the value a user typed), and a count n of
+    N is inside iff r0 - eps <= n/N <= r0 + eps in exact arithmetic.  So a
+    frequency on an edge counts as inside: at r0 = 0.7, eps = 0.1, N = 10 the
+    count 8 (r = 0.8) is inside, although 0.7 + 0.1 is 0.7999999999999999 in
+    floats.  ``mass_below``/``mass_above`` hold the counts strictly outside.
     """
 
     r0: float
@@ -93,16 +95,26 @@ def window_masses(
 ) -> WindowMass:
     """Partition one level's frequency mass at the window around ``r0``.
 
-    Strictly below r0 - eps, strictly above r0 + eps, closed window between;
-    the attached bound uses the level's own probability.
+    Strictly below r0 - eps, strictly above r0 + eps, closed window between,
+    classified in integer count space against exact decimal edges (see
+    :class:`WindowMass`); ``eps = inf`` keeps every sector inside.  The
+    attached bound uses the level's own probability.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+    if not math.isfinite(r0):
+        raise ValueError(f"r0 must be finite, got {r0!r}")
+    total = decomp.num_copies
+    if math.isinf(eps):
+        lo, hi = 0, total
+    else:
+        center, half_width = Fraction(repr(float(r0))), Fraction(repr(float(eps)))
+        lo = min(max(math.ceil(total * (center - half_width)), 0), total + 1)
+        hi = min(max(math.floor(total * (center + half_width)), -1), total)
     counts = decomp.level_counts(level)
-    r = counts / np.float64(decomp.num_copies)
     weights = np.exp(decomp.log_weights)
-    below = r < r0 - eps
-    above = r > r0 + eps
+    below = counts < lo
+    above = counts > hi
     return WindowMass(
         r0=float(r0),
         eps=float(eps),

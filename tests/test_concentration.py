@@ -133,10 +133,57 @@ def test_window_boundary_points_count_as_inside():
     assert window.mass_above == weights[8:].sum()
 
 
+# README cases: each edge is an exact decimal multiple of 1/N that its float
+# sum or difference rounds inward (0.7 + 0.1 = 0.7999999999999999,
+# 0.6 + 0.3 = 0.8999999999999999, 0.45 - 0.15 = 0.30000000000000004)
+@pytest.mark.parametrize(
+    "r0, eps, copies, first_inside, last_inside",
+    [(0.7, 0.1, 10, 6, 8), (0.6, 0.3, 10, 3, 9), (0.45, 0.15, 20, 6, 12)],
+)
+def test_window_decimal_edges_count_as_inside(r0, eps, copies, first_inside, last_inside):
+    decomp = two_level(0.5, copies)
+    weights = np.exp(decomp.log_weights)
+    window = window_masses(decomp, 0, r0, eps)
+    assert window.mass_below == weights[:first_inside].sum()
+    assert window.mass_inside == weights[first_inside : last_inside + 1].sum()
+    assert window.mass_above == weights[last_inside + 1 :].sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # coarse decimals and round N put many edges exactly on a count
+    k=st.integers(0, 100).map(lambda x: 100 * x) | st.integers(min_value=0, max_value=10**4),
+    j=st.integers(1, 100).map(lambda x: 10 * x) | st.integers(min_value=1, max_value=10**3),
+    copies=st.sampled_from([10, 20, 100, 2000]) | st.integers(min_value=1, max_value=2000),
+    level=st.sampled_from([0, 1]),
+)
+def test_window_classifies_counts_against_exact_decimal_edges(k, j, copies, level):
+    r0, eps = k / 10**4, j / 10**3
+    decomp = two_level(0.3, copies)
+    weights = np.exp(decomp.log_weights)
+    low = Fraction(k, 10**4) - Fraction(j, 10**3)
+    high = Fraction(k, 10**4) + Fraction(j, 10**3)
+    freqs = [Fraction(n, copies) for n in decomp.level_counts(level).tolist()]
+    below = np.array([f < low for f in freqs])
+    above = np.array([f > high for f in freqs])
+    window = window_masses(decomp, level, r0, eps)
+    assert window.mass_below == weights[below].sum()
+    assert window.mass_inside == weights[~(below | above)].sum()
+    assert window.mass_above == weights[above].sum()
+
+
+def test_window_rejects_non_finite_center():
+    decomp = two_level(0.3, 10)
+    for r0 in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="r0"):
+            window_masses(decomp, 0, r0, 0.1)
+
+
 def test_window_covering_everything_has_no_outside():
-    window = window_masses(two_level(0.3, 50), 0, 0.5, 0.6)
-    assert window.mass_below == 0.0
-    assert window.mass_above == 0.0
+    for eps in (0.6, float("inf")):
+        window = window_masses(two_level(0.3, 50), 0, 0.5, eps)
+        assert window.mass_below == 0.0
+        assert window.mass_above == 0.0
 
 
 def test_window_example_bound_value():
