@@ -7,14 +7,11 @@ from .concentration import (
     chebyshev_bound,
     check_localization,
     convergence_scan,
-    nearest_frequency_weight,
-    scaled_density,
     window_masses,
 )
 from .continuum import (
     GridWavefunction,
     Region,
-    multilevel_state_from_regions,
     read_wavefunction_csv,
     region_frequency_analysis,
     region_probability,
@@ -49,8 +46,6 @@ __all__ = [
     "WindowMass",
     "LocalizationVerdict",
     "chebyshev_bound",
-    "nearest_frequency_weight",
-    "scaled_density",
     "window_masses",
     "convergence_scan",
     "check_localization",
@@ -59,7 +54,6 @@ __all__ = [
     "read_wavefunction_csv",
     "region_probability",
     "region_frequency_analysis",
-    "multilevel_state_from_regions",
     "finite_run_distribution",
     "outer_frequency_check",
     "surprise_index",

@@ -65,31 +65,6 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     return a_sq * (1.0 - a_sq) / eps / eps / num_copies
 
 
-def _nearest_count(r: float, total: int) -> int:
-    # nearest admissible n/total to r; equidistant cases take the lower n
-    x = float(r) * total
-    lower = math.floor(x)
-    n = lower if x - lower <= 0.5 else lower + 1
-    return min(max(n, 0), total)
-
-
-def nearest_frequency_weight(decomp: FrequencyDecomposition, r: float) -> float:
-    """Linear-domain weight at the admissible frequency n/N nearest to ``r``."""
-    if decomp.num_levels != 2:
-        raise ValueError("nearest_frequency_weight needs a two-level decomposition")
-    n = _nearest_count(r, decomp.num_copies)
-    return float(np.exp(decomp.log_weights[n]))
-
-
-def scaled_density(decomp: FrequencyDecomposition, r: float) -> float:
-    """N times the nearest sector weight: the finite-N density approximant.
-
-    Its Riemann sum over the grid {n/N} with spacing 1/N reproduces the total
-    mass.
-    """
-    return decomp.num_copies * nearest_frequency_weight(decomp, r)
-
-
 def window_masses(
     decomp: FrequencyDecomposition, level: int, r0: float, eps: float
 ) -> WindowMass:

@@ -110,18 +110,6 @@ class Region:
             mask |= (x >= lo) & (x < hi)
         return mask
 
-    def complement(self) -> "Region":
-        """The complementary region over the whole real line."""
-        intervals = []
-        start = float("-inf")
-        for lo, hi in self.intervals:
-            if start < lo:
-                intervals.append((start, lo))
-            start = hi
-        if start < float("inf"):
-            intervals.append((start, float("inf")))
-        return Region(tuple(intervals))
-
 
 def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunction:
     """Load a wavefunction from a CSV file with header ``x,re,im``.
@@ -177,24 +165,3 @@ def region_frequency_analysis(
     state = SingleCopyState.from_alpha_probability(a_sq)
     decomp = decompose_two_level(state, num_copies)
     return frequency_moments(decomp, level=0), window_masses(decomp, 0, a_sq, eps)
-
-
-def multilevel_state_from_regions(
-    psi: GridWavefunction, regions: Sequence[Region], renormalize: bool = False
-) -> SingleCopyState:
-    """Reduce K disjoint regions covering the grid to a K-level state.
-
-    Each region's mass becomes one level probability; the regions must not
-    overlap on the grid and must jointly carry all of the mass (within the
-    usual normalization tolerance) unless ``renormalize`` is set.
-    """
-    if len(regions) < 2:
-        raise ValueError("need at least two regions")
-    x = psi.grid()
-    coverage = np.zeros(x.shape, dtype=np.int64)
-    for region in regions:
-        coverage += region.membership(x)
-    if np.any(coverage > 1):
-        raise ValueError("regions overlap on the grid")
-    probs = [region_probability(psi, region) for region in regions]
-    return SingleCopyState.from_probabilities(probs, renormalize=renormalize)

@@ -20,8 +20,9 @@ from .errors import check_capacity, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
-# Memory guard on any decomposition; 10**7 + 1 admits a two-level N = 10**7.
-MAX_SECTORS = 10**7 + 1
+# Memory guard on any decomposition: 8 (M + 1) bytes per sector, the int64
+# count matrix plus the float64 log weights; admits a two-level N = 10**7.
+MAX_DECOMPOSITION_BYTES = 24 * (10**7 + 1)
 # Time guard on the oracle, which visits every outcome sequence.
 MAX_BRUTE_FORCE_SEQUENCES = 2 * 10**7
 
@@ -159,38 +160,49 @@ def compositions(total: int, parts: int) -> np.ndarray:
     Rows come out in ascending lexicographic order, the fixed enumeration
     order of every decomposition.  The matrix is column-major (Fortran
     order), so each level's column is contiguous for the weight kernel.
+
+    One pass per level and no recursion: each prefix with ``r`` copies left
+    owns ``r + 1`` children, taking 0..r at the next level, and the last
+    level takes what is left.  The owner indices are then composed backward
+    to gather every earlier level's column in row order.
     """
     total = int(total)
     parts = int(parts)
     if total < 0 or parts < 1:
         raise ValueError(f"need total >= 0 and parts >= 1, got ({total}, {parts})")
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    # build the (parts, R) C-order transpose, whose .T is column-major
-    if parts == 2:
-        first = np.arange(total + 1, dtype=np.int64)
-        return np.stack([first, total - first]).T
-    blocks = []
-    for first in range(total + 1):
-        rest = compositions(total - first, parts - 1).T
-        head = np.full((1, rest.shape[1]), first, dtype=np.int64)
-        blocks.append(np.vstack([head, rest]))
-    return np.hstack(blocks).T
+    left = np.array([total], dtype=np.int64)
+    levels = []
+    for _ in range(parts - 1):
+        sizes = left + 1
+        owner = np.repeat(np.arange(left.size, dtype=np.int64), sizes)
+        value = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        left = np.repeat(left, sizes) - value
+        levels.append((owner, value))
+    counts = np.empty((left.size, parts), dtype=np.int64, order="F")
+    counts[:, -1] = left
+    # the rows of the last branching level are the output rows, in order
+    rows = slice(None)
+    for level in range(parts - 2, -1, -1):
+        owner, value = levels[level]
+        counts[:, level] = value[rows]
+        rows = owner[rows]
+    return counts
 
 
 def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
     """Expansion of the N-copy state of an M-level system over all occupations.
 
     Covers every composition of N into M parts exactly once, in ascending
-    lexicographic order, under the ``MAX_SECTORS`` guard.  Levels with zero
-    probability yield the ``LOG_ZERO`` sentinel.
+    lexicographic order, under the ``MAX_DECOMPOSITION_BYTES`` guard on the
+    count matrix plus the log weights.  Levels with zero probability yield
+    the ``LOG_ZERO`` sentinel.
     """
     num_copies = int(num_copies)
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     m = state.num_levels
-    sector_count = math.comb(num_copies + m - 1, m - 1)
-    check_capacity(sector_count, MAX_SECTORS, "decomposition sector count")
+    needed = 8 * (m + 1) * math.comb(num_copies + m - 1, m - 1)
+    check_capacity(needed, MAX_DECOMPOSITION_BYTES, "decomposition", "bytes")
     counts = compositions(num_copies, m)
     log_weights = occupancy_log_weights(num_copies, counts.T, [float(p) for p in state.level_probs])
     return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
@@ -228,7 +240,7 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     m = state.num_levels
     sequences = m**num_copies
-    check_capacity(sequences, MAX_BRUTE_FORCE_SEQUENCES, "brute-force sequence enumeration")
+    check_capacity(sequences, MAX_BRUTE_FORCE_SEQUENCES, "brute-force enumeration", "sequences")
     amps = [complex(a) for a in state.amplitudes]
     masses: dict[tuple[int, ...], float] = {}
     for seq in itertools.product(range(m), repeat=num_copies):

@@ -13,9 +13,9 @@ SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
 class CapacityError(Exception):
     """A computation would exceed a fixed capacity guard.
 
-    The guards are module constants that bound memory (sector counts) and time
-    (brute-force sequence counts).  The offending size and the limit are kept
-    on the exception so callers can report them.
+    The guards are module constants that bound memory (decomposition bytes)
+    and time (brute-force sequence counts).  The offending size and the limit
+    are kept on the exception so callers can report them.
     """
 
     def __init__(self, message: str, requested: int | None = None, limit: int | None = None):
@@ -32,10 +32,10 @@ class ContractError(Exception):
     """A numerical contract (for example oracle agreement) was violated."""
 
 
-def check_capacity(requested: int, limit: int, what: str) -> None:
+def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
     if requested > limit:
         raise CapacityError(
-            f"{what} needs {requested}, above the limit {limit}",
+            f"{what} needs {requested} {unit}, above the limit of {limit} {unit}",
             requested=requested,
             limit=limit,
         )

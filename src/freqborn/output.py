@@ -64,10 +64,12 @@ def render_csv(table: Table) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, float) and math.isinf(value):
-        return None
-    return value
+def _jsonable(scalars: dict[str, Any]) -> dict[str, Any]:
+    """The scalars with every infinite float replaced by None (JSON null)."""
+    return {
+        key: None if isinstance(value, float) and math.isinf(value) else value
+        for key, value in scalars.items()
+    }
 
 
 def _json_cells(column: Sequence) -> list[str]:
@@ -90,11 +92,11 @@ def _json_cells(column: Sequence) -> list[str]:
 
 def render_json(table: Table, version: str) -> str:
     document = {
-        "meta": {"schema": SCHEMA_VERSION, "version": version, **table.meta},
+        "meta": {"schema": SCHEMA_VERSION, "version": version, **_jsonable(table.meta)},
         "rows": [],
     }
     if table.annotations:
-        document["annotations"] = {k: _jsonable(v) for k, v in table.annotations.items()}
+        document["annotations"] = _jsonable(table.annotations)
     head, _, tail = json.dumps(document, indent=2, allow_nan=False).partition(_ROWS_LINE)
     if not table.data[0]:
         return head + _ROWS_LINE + tail + "\n"
@@ -113,8 +115,12 @@ def write_text(text: str, out_path: str | None) -> None:
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".freqborn-")
+    # mkstemp creates mode 0600; give the file the mode a plain open() would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(descriptor, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(temp_path, out_path)
     except BaseException:

@@ -143,6 +143,31 @@ def test_decompose_capacity_exit_code(runner):
     result = invoke(runner, ["decompose", "--a2", "0.3", "--n", "10000001"])
     assert result.exit_code == 3
     assert "capacity" in result.output
+    assert f"needs {24 * 10000002} bytes" in result.output
+
+
+# 1024 levels of equal weight: 1024 * 0.03125^2 = 1 exactly
+WIDE_AMPS = ",".join(["0.03125"] * 1024)
+
+
+@pytest.mark.parametrize("command", ["decompose", "oracle-check"])
+def test_wide_state_single_copy_runs(runner, command):
+    result = invoke(runner, [command, "--amps", WIDE_AMPS, "--n", "1"])
+    assert result.exit_code == 0
+    columns, rows, _ = parse_csv(result.output)
+    if command == "decompose":
+        assert len(rows) == 1024
+        assert rows[0][0] == "|".join(["0"] * 1023 + ["1"])
+        assert all(float(row[3]) == pytest.approx(1 / 1024, rel=1e-12) for row in rows)
+    else:
+        assert dict(zip(columns, rows[0]))["status"] == "PASS"
+
+
+def test_wide_state_two_copies_names_the_bytes(runner):
+    # C(1025, 2) = 524800 sectors of 1025 int64/float64 cells each
+    result = invoke(runner, ["decompose", "--amps", WIDE_AMPS, "--n", "2"])
+    assert result.exit_code == 3
+    assert f"needs {8 * 1025 * 524800} bytes" in result.output
 
 
 # --- scan / bound -----------------------------------------------------------------
@@ -172,6 +197,32 @@ def test_bound_row(runner):
     columns, rows, _ = parse_csv(result.output)
     assert columns == ["a2", "n", "eps", "bound"]
     assert float(rows[0][3]) == 0.25
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bound", "--a2", "0.3", "--n", "10"],
+        ["scan", "--a2", "0.3", "--ns", "10,100"],
+        ["cv", "--wavefunction", "psi.csv", "--region", "0:0.25", "--n", "100"],
+    ],
+    ids=["bound", "scan", "cv"],
+)
+def test_infinite_eps_renders_null_in_json(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    write_box_csv(tmp_path / "psi.csv")
+    csv_result = invoke(runner, args + ["--eps", "inf"])
+    assert csv_result.exit_code == 0
+    columns, rows, _ = parse_csv(csv_result.output)
+    if "eps" in columns:
+        assert rows[0][columns.index("eps")] == "inf"
+    json_result = invoke(runner, args + ["--eps", "inf", "--format", "json"])
+    assert json_result.exit_code == 0
+    document = json.loads(json_result.output)
+    assert document["meta"]["eps"] is None
+    # the JSON rows are the CSV rows with inf as null
+    expected = [{c: None if v == "inf" else float(v) for c, v in zip(columns, row)} for row in rows]
+    assert document["rows"] == expected
 
 
 def test_scan_rejects_nan_eps(runner):
@@ -361,12 +412,17 @@ def test_out_files_are_byte_identical_across_runs(runner, tmp_path):
     ] + [
         ["decompose", "--a2", "0.3", "--n", "50", "--format", "json"],
     ]
+    # --out files get the mode a plain open() gives under the current umask
+    plain = tmp_path / "plain.out"
+    with open(plain, "w"):
+        pass
     for index, job in enumerate(jobs):
         first = tmp_path / f"first-{index}.out"
         second = tmp_path / f"second-{index}.out"
         assert invoke(runner, job + ["--out", str(first)]).exit_code == 0
         assert invoke(runner, job + ["--out", str(second)]).exit_code == 0
         assert first.read_bytes() == second.read_bytes()
+        assert first.stat().st_mode == plain.stat().st_mode
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".freqborn-")]
     assert leftovers == []
 

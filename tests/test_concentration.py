@@ -12,8 +12,6 @@ from freqborn.concentration import (
     chebyshev_bound,
     check_localization,
     convergence_scan,
-    nearest_frequency_weight,
-    scaled_density,
     window_masses,
 )
 from freqborn.decomposition import (
@@ -68,55 +66,6 @@ def test_nan_eps_is_rejected_everywhere():
         window_masses(decomp, 0, 0.3, nan)
     with pytest.raises(ValueError, match="eps"):
         check_localization(np.array([0.0, 1.0]), np.array([0.5, 0.5]), eps=nan, mass_tolerance=0.1)
-
-
-# --- nearest frequency / scaled density ----------------------------------------
-
-
-def test_nearest_weight_exact_grid_point():
-    decomp = two_level(0.3, 10)
-    assert nearest_frequency_weight(decomp, 0.3) == math.exp(decomp.log_weights[3])
-
-
-def test_nearest_weight_balanced_pair():
-    assert nearest_frequency_weight(two_level(0.5, 2), 0.5) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_nearest_weight_rounds_to_nearest():
-    decomp = two_level(0.3, 10)
-    assert nearest_frequency_weight(decomp, 0.37) == math.exp(decomp.log_weights[4])
-
-
-def test_nearest_weight_tie_takes_lower_count():
-    decomp = two_level(0.3, 2)
-    # r*N = 0.5 exactly: equidistant between n=0 and n=1
-    assert nearest_frequency_weight(decomp, 0.25) == math.exp(decomp.log_weights[0])
-
-
-def test_nearest_weight_needs_two_levels():
-    state = SingleCopyState.from_probabilities([0.2, 0.3, 0.5])
-    with pytest.raises(ValueError):
-        nearest_frequency_weight(decompose_multilevel(state, 3), 0.5)
-
-
-@pytest.mark.parametrize("copies", [100, 10**4])
-def test_scaled_density_riemann_sum_is_total_mass(copies):
-    decomp = two_level(0.3, copies)
-    total = sum(scaled_density(decomp, n / copies) for n in range(copies + 1)) / copies
-    assert abs(total - 1.0) <= 1e-10
-
-
-def test_scaled_density_peak_dominates_shoulder():
-    decomp = two_level(0.5, 10**4)
-    assert scaled_density(decomp, 0.5) > 1e3 * scaled_density(decomp, 0.3)
-
-
-def test_scaled_density_degenerate_state_vanishes_left_of_one():
-    copies = 50
-    decomp = decompose_two_level(SingleCopyState([1.0, 0.0]), copies)
-    for r in (0.0, 0.5, 0.9, 1.0 - 2.0 / copies):
-        assert scaled_density(decomp, r) == 0.0
-    assert scaled_density(decomp, 1.0) == float(copies)
 
 
 # --- window masses --------------------------------------------------------------

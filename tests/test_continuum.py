@@ -8,7 +8,6 @@ import pytest
 from freqborn.continuum import (
     GridWavefunction,
     Region,
-    multilevel_state_from_regions,
     read_wavefunction_csv,
     region_frequency_analysis,
     region_probability,
@@ -87,15 +86,6 @@ def test_region_parse_rejects_garbage():
         Region.parse("a:b")
 
 
-def test_region_complement_partitions_the_line():
-    region = Region.parse("0:1,2:3")
-    complement = region.complement()
-    x = np.linspace(-2.0, 5.0, 141)
-    inside = region.membership(x)
-    outside = complement.membership(x)
-    assert np.array_equal(inside, ~outside)
-
-
 # --- region_probability -------------------------------------------------------------
 
 
@@ -118,7 +108,8 @@ def test_region_probability_quarter_box():
 def test_region_probability_complementarity():
     psi = gaussian_wavefunction()
     region = Region.parse("-0.37:1.23")
-    total = region_probability(psi, region) + region_probability(psi, region.complement())
+    complement = Region(((-math.inf, -0.37), (1.23, math.inf)))
+    total = region_probability(psi, region) + region_probability(psi, complement)
     assert abs(total - 1.0) <= 1e-9
 
 
@@ -261,29 +252,3 @@ def test_box_quarter_region_window_bound():
     report, window = region_frequency_analysis(psi, Region.parse("0:0.25"), 10**4, 0.05)
     assert window.chebyshev_bound <= 0.0076
     assert window.mass_outside <= window.chebyshev_bound
-
-
-# --- multi-region reduction ------------------------------------------------------------------
-
-
-def test_multilevel_state_from_partitioning_regions():
-    psi = box_wavefunction()
-    regions = [Region.parse("0:0.25"), Region.parse("0.25:0.5"), Region.parse("0.5:1")]
-    state = multilevel_state_from_regions(psi, regions)
-    assert state.num_levels == 3
-    assert np.allclose(state.level_probs, [0.25, 0.25, 0.5], atol=0.01)
-
-
-def test_multilevel_state_rejects_overlap():
-    psi = box_wavefunction()
-    with pytest.raises(ValueError, match="overlap"):
-        multilevel_state_from_regions(psi, [Region.parse("0:0.5"), Region.parse("0.4:1")])
-
-
-def test_multilevel_state_requires_full_coverage():
-    psi = box_wavefunction()
-    regions = [Region.parse("0:0.25"), Region.parse("0.25:0.5")]
-    with pytest.raises(NormalizationError):
-        multilevel_state_from_regions(psi, regions)
-    state = multilevel_state_from_regions(psi, regions, renormalize=True)
-    assert state.level_probs.sum() == pytest.approx(1.0, abs=1e-12)

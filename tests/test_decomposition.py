@@ -122,9 +122,12 @@ def test_two_level_requires_positive_copies():
 
 
 def test_two_level_capacity_guard():
-    with pytest.raises(CapacityError) as excinfo:
-        decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 10**7 + 1)
-    assert excinfo.value.limit == 10**7 + 1
+    # the byte budget admits N = 10**7 at two levels: 24 bytes per sector
+    state = SingleCopyState.from_alpha_probability(0.5)
+    with pytest.raises(CapacityError, match="bytes") as excinfo:
+        decompose_two_level(state, 10**7 + 1)
+    assert excinfo.value.limit == 24 * (10**7 + 1)
+    assert excinfo.value.requested == 24 * (10**7 + 2)
 
 
 def test_exact_rational_oracle_at_hundred_copies():
@@ -144,12 +147,18 @@ def test_compositions_are_lexicographic():
     assert rows == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
 
 
-@pytest.mark.parametrize("total,parts", [(5, 2), (4, 3), (6, 4), (0, 3)])
+@pytest.mark.parametrize(
+    "total,parts", [(5, 2), (4, 3), (6, 4), (0, 3), (0, 1), (5, 1), (0, 4), (1, 1024)]
+)
 def test_compositions_cover_every_vector_once(total, parts):
-    rows = [tuple(row) for row in compositions(total, parts).tolist()]
+    matrix = compositions(total, parts)
+    assert matrix.dtype == np.int64
+    assert matrix.flags.f_contiguous
+    rows = [tuple(row) for row in matrix.tolist()]
     assert len(rows) == math.comb(total + parts - 1, parts - 1)
     assert len(set(rows)) == len(rows)
-    assert all(sum(row) == total for row in rows)
+    assert all(len(row) == parts and min(row) >= 0 and sum(row) == total for row in rows)
+    assert rows == sorted(rows)
 
 
 def test_multilevel_uniform_three_level_example():
@@ -191,11 +200,12 @@ def test_multilevel_two_level_reduction_is_bit_identical(prob, copies):
     assert np.array_equal(sparse.log_weights, dense.log_weights)
 
 
-def test_multilevel_capacity_guard_reports_sector_count():
+def test_multilevel_capacity_guard_reports_bytes():
+    # int64 counts plus float64 log weights: 8 (M + 1) bytes per sector
     state = SingleCopyState.from_probabilities([0.25] * 4, renormalize=True)
     with pytest.raises(CapacityError) as excinfo:
         decompose_multilevel(state, 10**4)
-    assert excinfo.value.requested == math.comb(10**4 + 3, 3)
+    assert excinfo.value.requested == 8 * 5 * math.comb(10**4 + 3, 3)
 
 
 # --- brute-force oracle -------------------------------------------------------

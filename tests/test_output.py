@@ -24,6 +24,7 @@ def _jsonable(value):
 
 
 def reference_json(columns, rows, meta, annotations):
+    meta = {k: _jsonable(v) for k, v in meta.items()}
     document = {
         "meta": {"schema": SCHEMA_VERSION, "version": VERSION, **meta},
         "rows": [{c: _jsonable(v) for c, v in zip(columns, row)} for row in rows],
@@ -53,7 +54,7 @@ def tables(draw, cells=CELLS):
     if draw(st.booleans()):
         data[0] = range(size)
     rows = [tuple(column[i] for column in data) for i in range(size)]
-    meta = draw(st.dictionaries(TEXT, st.one_of(st.integers(), TEXT, st.booleans()), max_size=3))
+    meta = draw(st.dictionaries(TEXT, st.one_of(SCALARS, st.booleans()), max_size=3))
     annotations = draw(st.dictionaries(TEXT, SCALARS, max_size=3))
     return Table(columns, data, meta, annotations), rows
 
