@@ -37,6 +37,18 @@ GOLDEN = {
         ["decompose", "--amps", "0.6,0.8i", "--n", "9", "--format", "json"],
         "be4980916431eb103dc83c4fab0e147d33973657c549b0c8d306bc542fb47c4c",
     ),
+    "decompose-dead-level-csv": (
+        ["decompose", "--amps", "0.6,0,0.8", "--n", "5"],
+        "de5337a9ff8986cd26f814a011f2b1e57205b64e616a9c9243b12b053161e927",
+    ),
+    "decompose-dead-level-json": (
+        ["decompose", "--amps", "0.6,0,0.8", "--n", "5", "--format", "json"],
+        "8b90e754b42408b7a2e7c8d1693ae3ecc2945ae8bfab43ba604af87df8d1f5a6",
+    ),
+    "decompose-a2-negative-zero-csv": (
+        ["decompose", "--a2", "-0.0", "--n", "3"],
+        "dae443d20e407c24d77c0e7b1fabdc005ae47540e50dfbc7276f2558c3f67194",
+    ),
     "decompose-three-level-csv": (
         ["decompose", "--amps", THREE_LEVEL, "--n", "7"],
         "ad866768646538208aa9d91acc60e9adab0674f0188a2effe95c357b086dc021",
