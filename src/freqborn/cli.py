@@ -112,9 +112,10 @@ def parse_int_list(text: str, name: str) -> list[int]:
         raise ValueError(f"{name} must be a comma-separated integer list, got {text!r}") from None
 
 
-def _joined_columns(format_cell, columns: list[list]) -> list[str]:
-    """Per-row '|'-joins of the formatted cells of each column."""
-    return list(map("|".join, zip(*[map(format_cell, column) for column in columns])))
+def _joined_columns(values: list | range, counts: np.ndarray) -> list[str]:
+    """Per-sector '|'-joins of ``str(values[n])`` at each level's count n."""
+    labels = list(map(str, values))
+    return list(map("|".join, zip(*[map(labels.__getitem__, column) for column in counts.T.tolist()])))
 
 
 def emit(table: Table, output_format: str, out_path: str | None) -> None:
@@ -164,16 +165,15 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         "renormalize": renormalize,
     }
     decomp = decompose_multilevel(state, num_copies)
-    denominator = float(num_copies)
+    # per-count values n and r = n/N; two-level row n is count n of level 0
+    ns = range(num_copies + 1)
+    rs = (np.arange(num_copies + 1) / float(num_copies)).tolist()
     if state.num_levels == 2:
-        key_column = "n"
-        ns = decomp.level_counts(0)
-        keys = ns.tolist()
-        freqs = (ns / denominator).tolist()
+        key_column, keys, freqs = "n", ns, rs
     else:
         key_column = "counts"
-        keys = _joined_columns(str, decomp.counts.T.tolist())
-        freqs = _joined_columns(repr, (decomp.counts / denominator).T.tolist())
+        keys = _joined_columns(ns, decomp.counts)
+        freqs = _joined_columns(rs, decomp.counts)
     data = (keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist())
     emit(Table((key_column, "r", "log_weight", "weight"), data, meta), output_format, out_path)
 
@@ -364,11 +364,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
         out_path,
     )
     if not passed:
-        click.echo(
-            f"numerical contract violation: max deviation {deviation!r} above {ORACLE_TOLERANCE!r}",
-            err=True,
-        )
-        sys.exit(4)
+        raise ContractError(f"max deviation {deviation!r} above {ORACLE_TOLERANCE!r}")
 
 
 if __name__ == "__main__":

@@ -34,8 +34,9 @@ def log_sum_exp_array(values: np.ndarray) -> float:
 # magnitude ~1e7 at N ~ 1e6 and loses ~1e-9 of absolute log accuracy, which is
 # not enough for the 1e-10 normalization and moment contracts.  The standard
 # saddle-point decomposition (Stirling remainders plus binomial deviances)
-# keeps every intermediate small near the bulk of the mass, so sector weights
-# come out with ~1e-15 relative error where the mass lives.
+# keeps every intermediate small near the bulk of the mass: against 50-digit
+# mpmath, the bulk (weights above 1e-18) has 1.25e-13 absolute log error at
+# p = 0.3, N = 2000, from _bd0's far branch (ROADMAP item 2).
 
 _EXACT_TABLE_SIZE = 21
 _STIRLERR_TABLE = np.zeros(_EXACT_TABLE_SIZE)
@@ -77,9 +78,9 @@ def _bd0(x: np.ndarray, center: float) -> np.ndarray:
         s = s + term / (2.0 * j + 1.0)
     out[near] = s
     xf = x[~near]
-    # x/center may overflow for subnormal centers; the resulting +inf deviance
-    # is the correct limit (the sector weight underflows to exact zero)
-    with np.errstate(over="ignore"):
+    # x/center overflows for subnormal centers and is x/0 for a zero center;
+    # the +inf deviance is the correct limit (the sector weight is exactly 0)
+    with np.errstate(over="ignore", divide="ignore"):
         out[~near] = xf * np.log(xf / center) + center - xf
     return out
 
@@ -96,27 +97,24 @@ def occupancy_log_weights(
     ``level_probs[i]`` is the squared amplitude modulus of level ``i``.  The
     value is ln( multinomial(total; counts) * prod_i p_i^{n_i} ) per sector.
 
-    Sectors occupying a level of probability zero get ``LOG_ZERO`` outright,
-    with no ``-inf`` arithmetic.  Per-level contributions are accumulated into
-    a single subtrahend, so swapping two equal-probability levels permutes the
+    Each level's term depends only on its count n, so each level fills one
+    table over n = 0..total (total * p at n = 0, Stirling remainder plus
+    deviance plus ln sqrt(2 pi n) above) that every sector gathers.  At p = 0
+    each n >= 1 has a +inf deviance, so an occupied zero level gives exactly
+    ``LOG_ZERO``.  Swapping two equal-probability levels permutes the
     weights bit for bit.
     """
-    size = level_counts[0].shape[0]
     ntot = np.array([float(total)])
     base = float((_stirlerr(ntot) + _bd0(ntot, float(total)) + 0.5 * np.log(2.0 * np.pi * ntot))[0])
-    subtrahend = np.zeros(size)
-    dead = np.zeros(size, dtype=bool)
+    n = np.arange(1.0, total + 1.0)
+    subtrahend = np.zeros(level_counts[0].shape[0])
     for counts, prob in zip(level_counts, level_probs):
-        occupied = counts > 0
-        if prob == 0.0:
-            dead |= occupied
-            continue
-        center = float(total) * float(prob)
-        nf = counts[occupied].astype(np.float64)
-        contribution = np.empty(size)
-        contribution[occupied] = _stirlerr(nf) + _bd0(nf, center) + 0.5 * np.log(2.0 * np.pi * nf)
-        contribution[~occupied] = center
-        subtrahend += contribution
-    out = base - subtrahend
-    out[dead] = LOG_ZERO
-    return out
+        # + 0.0 turns a -0.0 center into +0.0, whose deviance is +inf, not nan
+        center = float(total) * float(prob) + 0.0
+        table = np.empty(total + 1)
+        table[0] = center
+        table[1:] = _stirlerr(n)
+        table[1:] += _bd0(n, center)
+        table[1:] += 0.5 * np.log(2.0 * np.pi * n)
+        subtrahend += table[counts]
+    return base - subtrahend

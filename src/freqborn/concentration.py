@@ -19,6 +19,7 @@ from .decomposition import FrequencyDecomposition, SingleCopyState, decompose_tw
 from .errors import unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
+_LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,9 @@ def window_masses(
     if not math.isfinite(r0):
         raise ValueError(f"r0 must be finite, got {r0!r}")
     total = decomp.num_copies
-    if math.isinf(eps):
-        lo, hi = 0, total
-    else:
-        center, half_width = Fraction(repr(float(r0))), Fraction(repr(float(eps)))
-        lo = min(max(math.ceil(total * (center - half_width)), 0), total + 1)
-        hi = min(max(math.floor(total * (center + half_width)), -1), total)
+    lower, upper = _decimal_edges(r0, eps)
+    lo = min(max(math.ceil(total * lower), 0), total + 1)
+    hi = min(max(math.floor(total * upper), -1), total)
     counts = decomp.level_counts(level)
     weights = np.exp(decomp.log_weights)
     below = counts < lo
@@ -98,6 +96,14 @@ def window_masses(
         mass_above=float(weights[above].sum()),
         chebyshev_bound=chebyshev_bound(float(decomp.level_probs[level]), decomp.num_copies, eps),
     )
+
+
+def _decimal_edges(r0: float, eps: float) -> tuple[Fraction, Fraction]:
+    """Exact edges r0 -/+ eps read as decimals, clamped to the finite doubles."""
+    if math.isinf(eps):
+        return -_LARGEST_DOUBLE, _LARGEST_DOUBLE
+    center, half_width = Fraction(repr(float(r0))), Fraction(repr(float(eps)))
+    return max(center - half_width, -_LARGEST_DOUBLE), min(center + half_width, _LARGEST_DOUBLE)
 
 
 def convergence_scan(
@@ -122,7 +128,8 @@ def check_localization(
     a point may repeat, as one level's frequency does across multi-level
     sectors.  The candidate location q0 is the weighted median (first point
     where the cumulative mass reaches half the total); the verdict is
-    localized iff the mass outside [q0 - eps, q0 + eps] is at most
+    localized iff the mass outside [q0 - eps, q0 + eps], with the decimal
+    edges of :class:`WindowMass` rounded to doubles, is at most
     ``mass_tolerance``.  The masses must sum to 1 within
     ``LOCALIZATION_INPUT_TOLERANCE`` (checked by
     :func:`~freqborn.errors.unit_mass`, no rescaling).  Works for any finitely
@@ -149,5 +156,6 @@ def check_localization(
     masses = masses[order]
     cumulative = np.cumsum(masses)
     q0 = float(qs[np.searchsorted(cumulative, 0.5 * cumulative[-1])])
-    outside = float(masses[(qs < q0 - eps) | (qs > q0 + eps)].sum())
+    lower, upper = map(float, _decimal_edges(q0, eps))
+    outside = float(masses[(qs < lower) | (qs > upper)].sum())
     return LocalizationVerdict(outside <= mass_tolerance, q0, outside)

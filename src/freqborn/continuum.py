@@ -30,13 +30,14 @@ UNIFORM_SPACING_RTOL = 1e-9
 class GridWavefunction:
     """Complex samples psi(x_k) on the uniform grid x_k = origin + k * spacing.
 
-    The left-point Riemann mass sum(|psi|^2) * spacing must be 1 within 1e-6,
-    checked by :func:`~freqborn.errors.unit_mass`; with ``renormalize`` the
-    samples are rescaled first, and samples whose mass overflows to inf or
-    falls into subnormals are rejected with the total named.
+    The left-point Riemann mass sum(density) * spacing, ``density`` being the
+    read-only |psi(x_k)|^2, must be 1 within 1e-6, checked by
+    :func:`~freqborn.errors.unit_mass`; with ``renormalize`` the samples are
+    rescaled first, and samples whose mass overflows to inf or falls into
+    subnormals are rejected with the total named.
     """
 
-    __slots__ = ("origin", "spacing", "samples")
+    __slots__ = ("origin", "spacing", "samples", "density")
 
     def __init__(
         self,
@@ -53,22 +54,16 @@ class GridWavefunction:
             raise ValueError("need a one-dimensional, nonempty sample vector")
         if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
-        values, _ = unit_mass(values, spacing, GRID_NORM_TOLERANCE, renormalize, "grid mass")
+        values, density = unit_mass(values, spacing, GRID_NORM_TOLERANCE, renormalize, "grid mass")
         values.setflags(write=False)
+        density.setflags(write=False)
         self.origin = float(origin)
         self.spacing = spacing
         self.samples = values
-
-    @property
-    def size(self) -> int:
-        return self.samples.shape[0]
+        self.density = density
 
     def grid(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.size)
-
-    def probability_density(self) -> np.ndarray:
-        values = self.samples
-        return values.real * values.real + values.imag * values.imag
+        return self.origin + self.spacing * np.arange(self.samples.shape[0])
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,7 @@ def region_probability(psi: GridWavefunction, region: Region) -> float:
     grid normalization error.
     """
     mask = region.membership(psi.grid())
-    mass = float(psi.probability_density()[mask].sum() * psi.spacing)
+    mass = float(psi.density[mask].sum() * psi.spacing)
     return min(max(mass, 0.0), 1.0)
 
 

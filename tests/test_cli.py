@@ -60,6 +60,13 @@ def test_decompose_small_two_level(runner):
     assert math.fsum(float(row[3]) for row in rows) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decompose_negative_zero_probability_matches_zero(runner):
+    negative = invoke(runner, ["decompose", "--a2", "-0.0", "--n", "3"])
+    positive = invoke(runner, ["decompose", "--a2", "0.0", "--n", "3"])
+    assert negative.exit_code == 0, negative.output
+    assert parse_csv(negative.stdout)[1] == parse_csv(positive.stdout)[1]
+
+
 def test_decompose_pure_state_single_nonzero_row(runner):
     result = invoke(runner, ["decompose", "--amps", "1,0", "--n", "5"])
     assert result.exit_code == 0
@@ -397,7 +404,10 @@ def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):
     monkeypatch.setattr(cli_module, "decompose_multilevel", skewed)
     result = invoke(runner, ["oracle-check", "--a2", "0.3", "--n", "6"])
     assert result.exit_code == 4
-    assert "FAIL" in result.output
+    columns, rows, _ = parse_csv(result.stdout)
+    assert rows[0][columns.index("status")] == "FAIL"
+    deviation = rows[0][columns.index("max_abs_deviation")]
+    assert result.stderr == f"numerical contract violation: max deviation {deviation} above 1e-12\n"
 
 
 # --- output handling ----------------------------------------------------------------------

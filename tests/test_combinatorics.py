@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freqborn.combinatorics import LOG_ZERO, log_sum_exp_array, occupancy_log_weights
-from freqborn.decomposition import SingleCopyState, decompose_two_level
+from freqborn.combinatorics import LOG_ZERO, _bd0, _stirlerr, log_sum_exp_array, occupancy_log_weights
+from freqborn.decomposition import SingleCopyState, compositions, decompose_two_level
 
 
 def compositions_oracle(total, parts):
@@ -183,3 +183,48 @@ def test_occupancy_weights_zero_probability_levels_use_sentinel():
     weights = occupancy_log_weights(3, [ns, 3 - ns], [0.0, 1.0])
     assert weights[0] == 0.0
     assert all(w == LOG_ZERO for w in weights[1:])
+
+
+# --- per-count tables vs the per-sector formula -----------------------------
+
+
+def per_sector_log_weights(total, level_counts, level_probs):
+    # the kernel's formula evaluated once per sector: deviance terms on
+    # occupied counts, the expected count on empty levels, and the sentinel
+    # wherever a zero-probability level is occupied
+    ntot = np.array([float(total)])
+    base = float((_stirlerr(ntot) + _bd0(ntot, float(total)) + 0.5 * np.log(2.0 * np.pi * ntot))[0])
+    subtrahend = np.zeros(level_counts[0].shape[0])
+    dead = np.zeros(subtrahend.shape, dtype=bool)
+    for counts, prob in zip(level_counts, level_probs):
+        occupied = counts > 0
+        if prob == 0.0:
+            dead |= occupied
+            continue
+        center = float(total) * float(prob)
+        nf = counts[occupied].astype(np.float64)
+        contribution = np.full(subtrahend.shape, center)
+        contribution[occupied] = _stirlerr(nf) + _bd0(nf, center) + 0.5 * np.log(2.0 * np.pi * nf)
+        subtrahend += contribution
+    out = base - subtrahend
+    out[dead] = LOG_ZERO
+    return out
+
+
+@pytest.mark.parametrize("prob", [0.3, 0.0, -0.0, 1.0, 1e-320])
+@pytest.mark.parametrize("total", [1, 20, 21, 22, 1000])
+def test_two_level_tables_match_per_sector_formula_bitwise(total, prob):
+    ns = np.arange(total + 1, dtype=np.int64)
+    columns, probs = [ns, total - ns], [prob, 1.0 - prob]
+    kernel = occupancy_log_weights(total, columns, probs)
+    assert kernel.tobytes() == per_sector_log_weights(total, columns, probs).tobytes()
+
+
+@pytest.mark.parametrize(
+    "probs", [[0.36, 0.0, 0.64], [0.2, 0.0, 0.3, 0.5], [0.0, 0.5, 0.0, 0.5], [1e-320, 0.5, 0.5]]
+)
+@pytest.mark.parametrize("total", [1, 7, 25])
+def test_multilevel_tables_match_per_sector_formula_bitwise(total, probs):
+    columns = compositions(total, len(probs)).T
+    kernel = occupancy_log_weights(total, columns, probs)
+    assert kernel.tobytes() == per_sector_log_weights(total, columns, probs).tobytes()

@@ -293,6 +293,24 @@ def test_localization_rejects_bad_mass():
         check_localization(np.array([nan, 1.0]), np.array([0.5, 0.5]), eps=0.1, mass_tolerance=0.1)
 
 
+@pytest.mark.parametrize("r0, eps, copies", [(0.7, 0.1, 10), (0.6, 0.3, 10), (0.45, 0.15, 20)])
+def test_localization_edges_match_window_masses_on_readme_cases(r0, eps, copies):
+    # float r0 + eps rounds inward on each case; the decimal edge keeps the point inside
+    decomp = two_level(r0, copies)
+    verdict = check_localization(*frequency_masses(decomp), eps=eps, mass_tolerance=1.0)
+    assert verdict.q0_estimate == r0
+    assert abs(verdict.residual_outside - window_masses(decomp, 0, r0, eps).mass_outside) <= 1e-15
+
+
+def test_localization_wide_windows_leave_nothing_outside():
+    masses = np.array([0.5, 0.5])
+    # q0 + eps is past the largest double: the edge acts as inf, not OverflowError
+    wide = check_localization(np.array([1e308, 1.5e308]), masses, eps=1e308, mass_tolerance=0.0)
+    assert wide.residual_outside == 0.0
+    infinite = check_localization(np.array([-1e308, 1e308]), masses, eps=math.inf, mass_tolerance=0.0)
+    assert infinite.residual_outside == 0.0
+
+
 # --- repeated points ---------------------------------------------------------------
 
 
