@@ -97,12 +97,11 @@ def occupancy_log_weights(
     ``level_probs[i]`` is the squared amplitude modulus of level ``i``.  The
     value is ln( multinomial(total; counts) * prod_i p_i^{n_i} ) per sector.
 
-    Each level's term depends only on its count n, so each level fills one
-    table over n = 0..total (total * p at n = 0, Stirling remainder plus
-    deviance plus ln sqrt(2 pi n) above) that every sector gathers.  At p = 0
-    each n >= 1 has a +inf deviance, so an occupied zero level gives exactly
-    ``LOG_ZERO``.  Swapping two equal-probability levels permutes the
-    weights bit for bit.
+    Each level's term depends only on its count n, so each level fills a
+    table over n = 0..total (total * p at 0, Stirling remainder + deviance +
+    ln sqrt(2 pi n) above) gathered by every sector; at p = 0 each n >= 1
+    has a +inf deviance, so an occupied zero level gives exactly ``LOG_ZERO``.
+    Swapping two equal-probability levels permutes the weights bit for bit.
     """
     ntot = np.array([float(total)])
     base = float((_stirlerr(ntot) + _bd0(ntot, float(total)) + 0.5 * np.log(2.0 * np.pi * ntot))[0])

@@ -128,12 +128,11 @@ def check_localization(
     a point may repeat, as one level's frequency does across multi-level
     sectors.  The candidate location q0 is the weighted median (first point
     where the cumulative mass reaches half the total); the verdict is
-    localized iff the mass outside [q0 - eps, q0 + eps], with the decimal
-    edges of :class:`WindowMass` rounded to doubles, is at most
-    ``mass_tolerance``.  The masses must sum to 1 within
-    ``LOCALIZATION_INPUT_TOLERANCE`` (checked by
-    :func:`~freqborn.errors.unit_mass`, no rescaling).  Works for any finitely
-    supported distribution, not only frequency decompositions.
+    localized iff the mass outside [q0 - eps, q0 + eps], edges as in
+    :class:`WindowMass` rounded to doubles, is at most ``mass_tolerance``.
+    The masses must sum to 1 within ``LOCALIZATION_INPUT_TOLERANCE`` (checked
+    by :func:`~freqborn.errors.unit_mass`, no rescaling).  Works for any
+    finitely supported distribution, not only frequency decompositions.
     """
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")

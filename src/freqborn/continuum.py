@@ -62,8 +62,12 @@ class GridWavefunction:
         self.samples = values
         self.density = density
 
+    @property
+    def size(self) -> int:
+        return self.samples.shape[0]
+
     def grid(self) -> np.ndarray:
-        return self.origin + self.spacing * np.arange(self.samples.shape[0])
+        return self.origin + self.spacing * np.arange(self.size)
 
 
 @dataclass(frozen=True)

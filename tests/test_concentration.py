@@ -295,7 +295,7 @@ def test_localization_rejects_bad_mass():
 
 @pytest.mark.parametrize("r0, eps, copies", [(0.7, 0.1, 10), (0.6, 0.3, 10), (0.45, 0.15, 20)])
 def test_localization_edges_match_window_masses_on_readme_cases(r0, eps, copies):
-    # float r0 + eps rounds inward on each case; the decimal edge keeps the point inside
+    # on each case one float edge r0 -/+ eps rounds inward past a point n/N; the decimal edge keeps it inside
     decomp = two_level(r0, copies)
     verdict = check_localization(*frequency_masses(decomp), eps=eps, mass_tolerance=1.0)
     assert verdict.q0_estimate == r0
