@@ -1,5 +1,6 @@
 """Unit tests for the log-domain combinatorial kernel."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,3 +229,74 @@ def test_multilevel_tables_match_per_sector_formula_bitwise(total, probs):
     columns = compositions(total, len(probs)).T
     kernel = occupancy_log_weights(total, columns, probs)
     assert kernel.tobytes() == per_sector_log_weights(total, columns, probs).tobytes()
+
+
+# --- recorded kernel bits ---------------------------------------------------
+
+# SHA-256 of occupancy_log_weights(...).tobytes(), recorded from a known-good
+# build.  The totals straddle the Stirling table edge at 21, and the count
+# ranges cross the deviance's near/far boundary at |n - Np| = 0.1 (n + Np).
+# Re-record a hash only when the kernel's bits are meant to change, and say
+# so in the change log.
+
+TWO_LEVEL_KERNEL_BITS = [
+    (0.3, 1, "b267ed85ea25e5608ffdc7887ec27bbc19cc7cfcedb30f0c0b06a29b6bb2cb7c"),
+    (0.3, 20, "8b58063986e5e258c812a1e6bfc2da9d714f18e23205859f374e691c622d63db"),
+    (0.3, 21, "584427be58201c08460423e46c0c50f9568b64af22933b76ef940ef10b43bfa4"),
+    (0.3, 22, "8e361735fa3ffdad63948f9cef7aec821d5b48857f0b95ee9da82abce843458f"),
+    (0.3, 1000, "4a3c4d89898929ecc7f6fd2e828068cde312c6bbd9ee7a8c7b0880ce40df86da"),
+    (0.3, 200000, "d174b9615d1d82296286f8af79353c98350905df75e7396576f8e98850ede444"),
+    (0.05, 1, "a377e371ac851641e7ab49dcc63a324ee25e781f293df04e30588ef3cb236e8e"),
+    (0.05, 20, "cad138b0279b00848d2734a06638ace9cd8ffe06d7a03316c6f00994ac73af67"),
+    (0.05, 21, "ef1d66443458ed5840d324c47f5f9eeff8e170604ca6c7a7f785281741911229"),
+    (0.05, 22, "1316cbbfec8544267094d1303dac50700a3f60c912355b6d2e011c739769fa99"),
+    (0.05, 1000, "3de5b49e0c786ea90c00b8fc9dbb363329016404109a220d3e8f4c6fcd175183"),
+    (0.05, 200000, "e89789ccfaafaae8dbb78cf536deda3e494dc274fa27ca9b9dda68894b6831f0"),
+    (0.0, 1, "38e55d56cbd825451cf44bd884b2ded4f5bda1e38522dbae360e22967259e56a"),
+    (0.0, 20, "fc6b5a165def416c08a2e2f13d32c14fb752f7498c751315aa6a7c0b29732fec"),
+    (0.0, 21, "b4f547f3275fab13341554f207c70701aec88d5d7a3921af94f7ffec33ad8a21"),
+    (0.0, 22, "95d32cdeaf8dc85375332558b009a8cf791e1387cd9e7cc2348a30c5ee5c9b28"),
+    (0.0, 1000, "becd04ae7711419279741d5ddc1e5fea5136f39f587d0ff18e959aa66bd7b69f"),
+    (0.0, 200000, "f7de5b66c15062fc4b730fbd57bb16173b85cf819e2afb46b15821a9068e5cf9"),
+    (-0.0, 1, "38e55d56cbd825451cf44bd884b2ded4f5bda1e38522dbae360e22967259e56a"),
+    (-0.0, 20, "fc6b5a165def416c08a2e2f13d32c14fb752f7498c751315aa6a7c0b29732fec"),
+    (-0.0, 21, "b4f547f3275fab13341554f207c70701aec88d5d7a3921af94f7ffec33ad8a21"),
+    (-0.0, 22, "95d32cdeaf8dc85375332558b009a8cf791e1387cd9e7cc2348a30c5ee5c9b28"),
+    (-0.0, 1000, "becd04ae7711419279741d5ddc1e5fea5136f39f587d0ff18e959aa66bd7b69f"),
+    (-0.0, 200000, "f7de5b66c15062fc4b730fbd57bb16173b85cf819e2afb46b15821a9068e5cf9"),
+    (1.0, 1, "c23edcb2c59853bc31c78140bc3516bd75b99ad5ed37d061934f7085c1452819"),
+    (1.0, 20, "4ce143d5564c382beebed464e6ad50f42f735a003015619dcec05f5edefb4ae1"),
+    (1.0, 21, "7033fdb8cb9e4d4cc1e8ead36d9b46cc0a0e7fa917415befc8f367d637e18b08"),
+    (1.0, 22, "1b7591d630782fc5cd8d5d307da0a40de212c00a948997aa0ad5dde25c3ff986"),
+    (1.0, 1000, "b096cfca5d2ec463b8b2dcb5fe4a9f3b5957867e3e911bf53d3a77c1dccd8674"),
+    (1.0, 200000, "7dc959ab49301eae2ad14375487b26a25e2e3dee16641ec7dab1bfcc3353afe2"),
+    (1e-320, 1, "38e55d56cbd825451cf44bd884b2ded4f5bda1e38522dbae360e22967259e56a"),
+    (1e-320, 20, "fc6b5a165def416c08a2e2f13d32c14fb752f7498c751315aa6a7c0b29732fec"),
+    (1e-320, 21, "b4f547f3275fab13341554f207c70701aec88d5d7a3921af94f7ffec33ad8a21"),
+    (1e-320, 22, "95d32cdeaf8dc85375332558b009a8cf791e1387cd9e7cc2348a30c5ee5c9b28"),
+    (1e-320, 1000, "becd04ae7711419279741d5ddc1e5fea5136f39f587d0ff18e959aa66bd7b69f"),
+    (1e-320, 200000, "f7de5b66c15062fc4b730fbd57bb16173b85cf819e2afb46b15821a9068e5cf9"),
+]
+
+MULTILEVEL_KERNEL_BITS = [
+    ([0.36, 0.0, 0.64], 25, "7e2ad9f0ffa0656af372c98678980e31012444440777fea0ef221ebd8c9170ba"),
+    ([0.2, 0.0, 0.3, 0.5], 60, "f908658513f928f2ec420b525adda9628317b7414d7312f1908e258ea2cfad96"),
+    ([0.1] * 10, 5, "ce57f777d88d3af57f87b7a80b51a4cb19c0f0874ce336c83c84d4763401e698"),
+]
+
+
+@pytest.mark.parametrize(
+    "prob,total,expected", [pytest.param(*case, id=f"p{case[0]!r}-N{case[1]}") for case in TWO_LEVEL_KERNEL_BITS]
+)
+def test_two_level_kernel_bits_match_recorded_hash(prob, total, expected):
+    ns = np.arange(total + 1, dtype=np.int64)
+    weights = occupancy_log_weights(total, [ns, total - ns], [prob, 1.0 - prob])
+    assert hashlib.sha256(weights.tobytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize(
+    "probs,total,expected", [pytest.param(*case, id=f"M{len(case[0])}-N{case[1]}") for case in MULTILEVEL_KERNEL_BITS]
+)
+def test_multilevel_kernel_bits_match_recorded_hash(probs, total, expected):
+    weights = occupancy_log_weights(total, compositions(total, len(probs)).T, probs)
+    assert hashlib.sha256(weights.tobytes()).hexdigest() == expected
