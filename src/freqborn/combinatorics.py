@@ -48,25 +48,28 @@ del _k
 
 
 def _stirlerr(n: np.ndarray) -> np.ndarray:
-    # ln(n!) - (0.5 ln(2 pi n) + n ln n - n) for n >= 1; table below 21,
-    # truncated asymptotic series above (remainder < 1e-17 at n = 21).
-    out = np.empty_like(n)
-    small = n < float(_EXACT_TABLE_SIZE)
-    out[small] = _STIRLERR_TABLE[n[small].astype(np.int64)]
-    big = n[~small]
-    z = 1.0 / (big * big)
-    out[~small] = (
+    # ln(n!) - (0.5 ln(2 pi n) + n ln n - n) for n >= 1: the truncated
+    # asymptotic series, finite for every n >= 1 (remainder < 1e-17 at
+    # n = 21), then the exact table overwrites the entries below 21.
+    z = 1.0 / (n * n)
+    out = (
         1.0 / 12.0
         - (1.0 / 360.0 - (1.0 / 1260.0 - (1.0 / 1680.0 - (1.0 / 1188.0) * z) * z) * z) * z
-    ) / big
+    ) / n
+    small = n < float(_EXACT_TABLE_SIZE)
+    out[small] = _STIRLERR_TABLE[n[small].astype(np.int64)]
     return out
 
 
 def _bd0(x: np.ndarray, center: float) -> np.ndarray:
-    # x ln(x/center) + center - x, evaluated without cancellation near
-    # x ~ center via the series in v = (x-center)/(x+center); |v| < 0.1 in the
-    # series branch, so 12 fixed terms leave a remainder below 1e-20.
-    out = np.empty_like(x)
+    # x ln(x/center) + center - x over every x; the series in
+    # v = (x-center)/(x+center) then overwrites, without cancellation, the
+    # entries with |v| < 0.1 (12 fixed terms leave a remainder below 1e-20),
+    # where x/center lies in (9/11, 11/9) and the general formula is finite.
+    # Elsewhere x/center overflows for subnormal centers and is x/0 for a
+    # zero center; the +inf deviance is the correct limit (weight exactly 0).
+    with np.errstate(over="ignore", divide="ignore"):
+        out = x * np.log(x / center) + center - x
     near = np.abs(x - center) < 0.1 * (x + center)
     xn = x[near]
     v = (xn - center) / (xn + center)
@@ -77,11 +80,6 @@ def _bd0(x: np.ndarray, center: float) -> np.ndarray:
         term = term * v2
         s = s + term / (2.0 * j + 1.0)
     out[near] = s
-    xf = x[~near]
-    # x/center overflows for subnormal centers and is x/0 for a zero center;
-    # the +inf deviance is the correct limit (the sector weight is exactly 0)
-    with np.errstate(over="ignore", divide="ignore"):
-        out[~near] = xf * np.log(xf / center) + center - xf
     return out
 
 

@@ -204,7 +204,7 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
     needed = 8 * (m + 1) * math.comb(num_copies + m - 1, m - 1)
     check_capacity(needed, MAX_DECOMPOSITION_BYTES, "decomposition", "bytes")
     counts = compositions(num_copies, m)
-    log_weights = occupancy_log_weights(num_copies, counts.T, [float(p) for p in state.level_probs])
+    log_weights = occupancy_log_weights(num_copies, counts.T, state.level_probs)
     return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
 
 

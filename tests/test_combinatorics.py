@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,6 +186,56 @@ def test_occupancy_weights_zero_probability_levels_use_sentinel():
     weights = occupancy_log_weights(3, [ns, 3 - ns], [0.0, 1.0])
     assert weights[0] == 0.0
     assert all(w == LOG_ZERO for w in weights[1:])
+
+
+# --- kernel vs exact rational weights ---------------------------------------
+
+
+def exact_weights(total, rows, probs):
+    # N!/prod n_i! * prod q_i^{n_i} with q_i = Fraction(p_i) / sum_j Fraction(p_j).
+    # Over a common denominator q_i = ints[i] / sum(ints), so each weight is
+    # one integer ratio, and int / int rounds it correctly to a double.
+    fracs = [Fraction(p) for p in probs]
+    scale = math.lcm(*(f.denominator for f in fracs))
+    ints = [int(f * scale) for f in fracs]
+    denominator = sum(ints) ** total
+    weights = []
+    for counts in rows:
+        multinomial = math.factorial(total) // math.prod(math.factorial(n) for n in counts)
+        weights.append(multinomial * math.prod(m**n for m, n in zip(ints, counts)) / denominator)
+    return weights
+
+
+def test_kernel_matches_exact_rational_weights():
+    # random states with up to four levels, Dirichlet(1/2) probabilities and
+    # sometimes a zero level, N <= 3000; sectors drawn around the bulk
+    # (multinomial at the state) and into the tails (multinomial at uniform)
+    rng = np.random.default_rng(9)
+    checked = dead = 0
+    for _ in range(50):
+        m = int(rng.integers(2, 5))
+        probs = rng.dirichlet(np.full(m, 0.5))
+        if m > 2 and rng.random() < 0.5:
+            probs[rng.integers(m)] = 0.0
+        probs = (probs / probs.sum()).tolist()
+        total = int(rng.integers(1, 3001))
+        rows = np.concatenate(
+            [rng.multinomial(total, probs, size=6), rng.multinomial(total, np.full(m, 1.0 / m), size=2)]
+        )
+        log_weights = occupancy_log_weights(total, rows.T, probs).tolist()
+        rows = rows.tolist()
+        for counts, log_weight, exact in zip(rows, log_weights, exact_weights(total, rows, probs)):
+            if any(n > 0 and p == 0.0 for n, p in zip(counts, probs)):
+                assert log_weight == LOG_ZERO
+                dead += 1
+                continue
+            assert log_weight > LOG_ZERO
+            weight = math.exp(log_weight)
+            if min(exact, weight) >= sys.float_info.min:
+                assert abs(weight - exact) <= 2e-12 * exact, (total, probs, counts)
+                checked += 1
+    # both outcomes occur on this seed: 342 weights compared, 36 sentinels
+    assert checked >= 300 and dead >= 30
 
 
 # --- per-count tables vs the per-sector formula -----------------------------
