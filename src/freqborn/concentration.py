@@ -55,7 +55,7 @@ class LocalizationVerdict:
 
 def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     """Tail bound a_sq (1 - a_sq) / (eps^2 N) on the mass outside the window."""
-    a_sq = float(a_sq)
+    a_sq = float(a_sq) + 0.0  # a -0.0 input bounds by 0.0, not -0.0
     if not 0.0 <= a_sq <= 1.0:
         raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
     if not eps > 0.0:

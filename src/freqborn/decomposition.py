@@ -55,8 +55,8 @@ class SingleCopyState:
 
     @classmethod
     def from_probabilities(cls, probs: Sequence[float], renormalize: bool = False) -> "SingleCopyState":
-        """Build a state from level probabilities, stored exactly as given."""
-        p = np.array(probs, dtype=np.float64)
+        """Build a state from level probabilities, stored exactly as given (-0.0 as +0.0)."""
+        p = np.array(probs, dtype=np.float64) + 0.0
         if p.ndim != 1 or p.shape[0] < 2:
             raise ValueError("need at least two level probabilities")
         if not np.all(np.isfinite(p)):

@@ -206,6 +206,18 @@ def test_bound_row(runner):
     assert float(rows[0][3]) == 0.25
 
 
+def test_negative_zero_probability_bounds_by_positive_zero(runner):
+    scan = ["scan", "--eps", "0.1", "--ns", "10"]
+    negative = invoke(runner, scan + ["--a2", "-0.0"])
+    assert negative.exit_code == 0, negative.output
+    assert negative.stdout_bytes == invoke(runner, scan + ["--a2", "0.0"]).stdout_bytes
+    result = invoke(runner, ["bound", "--a2", "-0.0", "--n", "10", "--eps", "0.1"])
+    assert result.exit_code == 0, result.output
+    _, rows, _ = parse_csv(result.output)
+    assert rows[0][0] == "-0.0"
+    assert rows[0][3] == "0.0"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -307,6 +307,11 @@ def test_moment_report_deterministic_state():
     assert report.variance == 0.0
 
 
+def test_moment_report_negative_zero_probability_predicts_positive_zero():
+    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(-0.0), 5)
+    assert math.copysign(1.0, frequency_moments(decomp).predicted_variance) == 1.0
+
+
 def test_moment_report_multilevel_first_level():
     state = SingleCopyState.from_probabilities([0.5, 0.3, 0.2])
     report = frequency_moments(decompose_multilevel(state, 6), level=0)
