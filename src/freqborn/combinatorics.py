@@ -36,7 +36,7 @@ def log_sum_exp_array(values: np.ndarray) -> float:
 # saddle-point decomposition (Stirling remainders plus binomial deviances)
 # keeps every intermediate small near the bulk of the mass: against 50-digit
 # mpmath, the bulk (weights above 1e-18) has 1.25e-13 absolute log error at
-# p = 0.3, N = 2000, from _bd0's far branch (ROADMAP item 2).
+# p = 0.3, N = 2000, from _bd0's general formula (ROADMAP item 2).
 
 _EXACT_TABLE_SIZE = 21
 _STIRLERR_TABLE = np.zeros(_EXACT_TABLE_SIZE)
