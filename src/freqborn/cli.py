@@ -174,8 +174,13 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         key_column = "counts"
         keys = _joined_columns(ns, decomp.counts)
         freqs = _joined_columns(rs, decomp.counts)
-    data = (keys, freqs, decomp.log_weights.tolist(), np.exp(decomp.log_weights).tolist())
-    emit(Table((key_column, "r", "log_weight", "weight"), data, meta), output_format, out_path)
+    columns = {
+        key_column: keys,
+        "r": freqs,
+        "log_weight": decomp.log_weights.tolist(),
+        "weight": np.exp(decomp.log_weights).tolist(),
+    }
+    emit(Table(columns, meta), output_format, out_path)
 
 
 @main.command()
@@ -194,14 +199,14 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     state = build_state(a2, amps, renormalize)
     counts = parse_int_list(ns, "--ns")
     windows = convergence_scan(state, eps, counts)
-    data = (
-        counts,
-        [window.mass_outside for window in windows],
-        [window.chebyshev_bound for window in windows],
-        [window.mass_inside for window in windows],
-    )
+    columns = {
+        "n": counts,
+        "outside_mass": [window.mass_outside for window in windows],
+        "bound": [window.chebyshev_bound for window in windows],
+        "inside_mass": [window.mass_inside for window in windows],
+    }
     meta = {"command": "scan", **state_meta(a2, amps), "ns": ns, "eps": eps}
-    emit(Table(("n", "outside_mass", "bound", "inside_mass"), data, meta), output_format, out_path)
+    emit(Table(columns, meta), output_format, out_path)
 
 
 @main.command()
@@ -218,8 +223,8 @@ def bound(a2, num_copies, eps, output_format, out_path):
     """
     value = chebyshev_bound(a2, num_copies, eps)
     meta = {"command": "bound", "a2": a2, "n": num_copies, "eps": eps}
-    data = ([a2], [num_copies], [eps], [value])
-    emit(Table(("a2", "n", "eps", "bound"), data, meta), output_format, out_path)
+    columns = {"a2": [a2], "n": [num_copies], "eps": [eps], "bound": [value]}
+    emit(Table(columns, meta), output_format, out_path)
 
 
 @main.command()
@@ -247,18 +252,18 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
     psi = read_wavefunction_csv(wavefunction_path, renormalize=renormalize)
     region = Region.parse(region_text)
     report, window = region_frequency_analysis(psi, region, num_copies, eps)
-    data = (
-        [window.r0],
-        [num_copies],
-        [eps],
-        [report.mean],
-        [report.variance],
-        [report.predicted_variance],
-        [window.mass_below],
-        [window.mass_inside],
-        [window.mass_above],
-        [window.chebyshev_bound],
-    )
+    columns = {
+        "a_sq": [window.r0],
+        "n": [num_copies],
+        "eps": [eps],
+        "mean_r": [report.mean],
+        "variance_r": [report.variance],
+        "predicted_variance": [report.predicted_variance],
+        "mass_below": [window.mass_below],
+        "mass_inside": [window.mass_inside],
+        "mass_above": [window.mass_above],
+        "chebyshev_bound": [window.chebyshev_bound],
+    }
     meta = {
         "command": "cv",
         "wavefunction": wavefunction_path,
@@ -267,26 +272,14 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
         "eps": eps,
         "renormalize": renormalize,
     }
-    columns = (
-        "a_sq",
-        "n",
-        "eps",
-        "mean_r",
-        "variance_r",
-        "predicted_variance",
-        "mass_below",
-        "mass_inside",
-        "mass_above",
-        "chebyshev_bound",
-    )
-    emit(Table(columns, data, meta), output_format, out_path)
+    emit(Table(columns, meta), output_format, out_path)
 
 
 @main.command("finite-run")
 @click.option("--n-inner", "num_measurements", type=int, required=True, help="Measurements per run.")
 @click.option("--observed", type=int, default=None, help="Observed success count; appends the surprise index.")
 @click.option("--outer", "num_runs", type=int, default=None, help="Repetitions of the whole run; appends the outer window analysis (needs --observed and --eps).")
-@click.option("--eps", type=float, default=None, help="Window half-width for the outer analysis.")
+@click.option("--eps", type=float, default=None, help="Window half-width for the outer analysis (needs --outer).")
 @state_options
 @output_options
 @guarded
@@ -300,6 +293,8 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     analysis of the observed count's frequency across N runs at
     r0 = mass[observed].
     """
+    if num_runs is None and eps is not None:
+        raise click.UsageError("--eps applies to --outer")
     state = build_state(a2, amps, renormalize)
     masses = finite_run_distribution(state, num_measurements)
     meta = {
@@ -324,8 +319,8 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
         annotations["outer_mass_inside"] = window.mass_inside
         annotations["outer_mass_above"] = window.mass_above
         annotations["outer_chebyshev_bound"] = window.chebyshev_bound
-    data = (range(masses.size), masses.tolist())
-    emit(Table(("n", "mass"), data, meta, annotations), output_format, out_path)
+    columns = {"n": range(masses.size), "mass": masses.tolist()}
+    emit(Table(columns, meta, annotations), output_format, out_path)
 
 
 @main.command("oracle-check")
@@ -350,19 +345,15 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     )
     passed = deviation <= ORACLE_TOLERANCE
     meta = {"command": "oracle-check", **state_meta(a2, amps), "n": num_copies}
-    data = (
-        [state.num_levels],
-        [num_copies],
-        [closed.num_sectors],
-        [deviation],
-        [ORACLE_TOLERANCE],
-        ["PASS" if passed else "FAIL"],
-    )
-    emit(
-        Table(("levels", "n", "sectors", "max_abs_deviation", "threshold", "status"), data, meta),
-        output_format,
-        out_path,
-    )
+    columns = {
+        "levels": [state.num_levels],
+        "n": [num_copies],
+        "sectors": [closed.num_sectors],
+        "max_abs_deviation": [deviation],
+        "threshold": [ORACLE_TOLERANCE],
+        "status": ["PASS" if passed else "FAIL"],
+    }
+    emit(Table(columns, meta), output_format, out_path)
     if not passed:
         raise ContractError(f"max deviation {deviation!r} above {ORACLE_TOLERANCE!r}")
 

@@ -2,9 +2,8 @@
 
 All public functions work with natural logarithms.  Weight zero is the
 distinguished sentinel ``LOG_ZERO`` (IEEE ``-inf``): it absorbs under
-log-domain multiplication and is the identity of ``log_sum_exp_array``, so
-zero amplitudes never turn into tolerance questions.  Conversion back to the
-linear domain happens only at reporting boundaries.
+log-domain multiplication and exponentiates to exactly 0.0, so zero
+amplitudes never turn into tolerance questions.
 """
 
 from __future__ import annotations
@@ -15,16 +14,6 @@ from typing import Sequence
 import numpy as np
 
 LOG_ZERO = float("-inf")
-
-
-def log_sum_exp_array(values: np.ndarray) -> float:
-    """Vectorized max-shift log-sum-exp for dense weight arrays."""
-    if values.size == 0:
-        return LOG_ZERO
-    peak = float(np.max(values))
-    if peak == LOG_ZERO:
-        return LOG_ZERO
-    return peak + float(np.log(np.sum(np.exp(values - peak))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .combinatorics import LOG_ZERO, log_sum_exp_array, occupancy_log_weights
+from .combinatorics import LOG_ZERO, occupancy_log_weights
 from .errors import check_capacity, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
@@ -209,8 +209,12 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
 
 
 def total_mass(decomp: FrequencyDecomposition) -> float:
-    """exp(log-sum-exp over all sector weights); 1 within 1e-10 for valid states."""
-    return float(np.exp(log_sum_exp_array(decomp.log_weights)))
+    """Sum of the linear sector weights; 1 within 1e-10 for valid states.
+
+    Every weight is at most 1, so the plain sum neither overflows nor loses
+    more than a max-shifted log-sum-exp would.
+    """
+    return float(np.sum(np.exp(decomp.log_weights)))
 
 
 def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentReport:

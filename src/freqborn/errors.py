@@ -14,14 +14,9 @@ class CapacityError(Exception):
     """A computation would exceed a fixed capacity guard.
 
     The guards are module constants that bound memory (decomposition bytes)
-    and time (brute-force sequence counts).  The offending size and the limit
-    are kept on the exception so callers can report them.
+    and time (brute-force sequence counts).  The message names the offending
+    size and the limit.
     """
-
-    def __init__(self, message: str, requested: int | None = None, limit: int | None = None):
-        super().__init__(message)
-        self.requested = requested
-        self.limit = limit
 
 
 class NormalizationError(ValueError):
@@ -34,11 +29,7 @@ class ContractError(Exception):
 
 def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
     if requested > limit:
-        raise CapacityError(
-            f"{what} needs {requested} {unit}, above the limit of {limit} {unit}",
-            requested=requested,
-            limit=limit,
-        )
+        raise CapacityError(f"{what} needs {requested} {unit}, above the limit of {limit} {unit}")
 
 
 def unit_mass(

@@ -5,10 +5,11 @@ no environment-dependent fields, floats rendered with shortest round-trip
 repr.  Files are written atomically (temp file in the target directory, then
 rename).
 
-Tables are columnar: ``Table.data[j]`` holds the cells of ``columns[j]``, as
-a list (typically from ``ndarray.tolist()``) or a ``range``.  Both renderers
-format a whole column with one C-level call (``map(str, ...)`` for CSV, one
-``json.dumps`` for JSON) and then zip the formatted columns into lines, so no
+Tables are columnar: ``Table.columns`` maps each column name, in document
+order, to its cells, as a list (typically from ``ndarray.tolist()``) or a
+``range``.  Both renderers read the names from the keys and format each
+value, a whole column, with one C-level call (``map(str, ...)`` for CSV, one
+``json.dumps`` for JSON), then zip the formatted columns into lines, so no
 Python statement runs per row.  A JSON row is one ``%`` template built once
 from the JSON-encoded column names; it reproduces exactly what
 ``json.dumps(..., indent=2)`` prints for the row-dict layout, so the bytes
@@ -23,7 +24,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
@@ -40,24 +40,24 @@ _INFINITY_TO_NULL = {"Infinity": "null", "-Infinity": "null"}
 class Table:
     """One columnar result plus metadata and optional appended scalars.
 
-    ``data[j]`` holds the cells of ``columns[j]``: scalars (int, float, str,
-    bool or None), the same number in every column.  ``annotations`` become trailing ``#key=value`` comment lines in
+    ``columns`` maps each column name, in document order, to its cells:
+    scalars (int, float, str, bool or None), the same number in every
+    column.  ``annotations`` become trailing ``#key=value`` comment lines in
     CSV and a top-level ``annotations`` object in JSON.
     """
 
-    columns: tuple[str, ...]
-    data: Sequence[Sequence]
+    columns: dict[str, Sequence]
     meta: dict[str, Any]
     annotations: dict[str, Any] = field(default_factory=dict)
 
     @property
     def rows(self) -> list[tuple]:
-        """The cells as row tuples (a transpose of ``data``)."""
-        return list(zip(*self.data))
+        """The cells as row tuples (a transpose of the columns)."""
+        return list(zip(*self.columns.values()))
 
 
 def render_csv(table: Table) -> str:
-    cells = [map(str, column) for column in table.data]
+    cells = [map(str, column) for column in table.columns.values()]
     lines = [f"#schema={SCHEMA_VERSION}", ",".join(table.columns)]
     lines.extend(map(",".join, zip(*cells)))
     lines.extend(f"#{key}={value}" for key, value in table.annotations.items())
@@ -98,13 +98,13 @@ def render_json(table: Table, version: str) -> str:
     if table.annotations:
         document["annotations"] = _jsonable(table.annotations)
     head, _, tail = json.dumps(document, indent=2, allow_nan=False).partition(_ROWS_LINE)
-    if not table.data[0]:
+    if not next(iter(table.columns.values())):
         return head + _ROWS_LINE + tail + "\n"
     fields = ",\n".join(
         f"      {json.dumps(column).replace('%', '%%')}: %s" for column in table.columns
     )
     template = "    {\n" + fields + "\n    }"
-    rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.data))))
+    rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.columns.values()))))
     return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
 
 
@@ -114,13 +114,11 @@ def write_text(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
-    descriptor, temp_path = tempfile.mkstemp(dir=directory, prefix=".freqborn-")
-    # mkstemp creates mode 0600; give the file the mode a plain open() would
-    umask = os.umask(0)
-    os.umask(umask)
+    temp_path = os.path.join(directory, f".freqborn-{os.urandom(8).hex()}")
+    # mode 0o666 under the process umask: the mode a plain open() would give
+    descriptor = os.open(temp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(descriptor, "w") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(temp_path, out_path)
     except BaseException:

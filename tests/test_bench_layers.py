@@ -43,4 +43,4 @@ def test_every_traced_command_exists():
 
 
 def test_table_keeps_rows():
-    assert Table(("n",), [(1,)], {}).rows == [(1,)]
+    assert Table({"n": (1,)}, {}).rows == [(1,)]

@@ -366,6 +366,12 @@ def test_finite_run_outer_requires_observed_and_eps(runner):
     assert invoke(runner, args + ["--observed", "3"]).exit_code == 2
 
 
+def test_finite_run_eps_without_outer_is_usage_error(runner):
+    result = invoke(runner, ["finite-run", "--a2", "0.3", "--n-inner", "3", "--eps", "0.1"])
+    assert result.exit_code == 2
+    assert "--eps applies to --outer" in result.output
+
+
 def test_finite_run_json_annotations(runner):
     result = invoke(
         runner,
@@ -447,6 +453,24 @@ def test_out_files_are_byte_identical_across_runs(runner, tmp_path):
         assert first.stat().st_mode == plain.stat().st_mode
     leftovers = [p.name for p in tmp_path.iterdir() if p.name.startswith(".freqborn-")]
     assert leftovers == []
+
+
+def test_out_file_leaves_the_process_umask_alone(runner, tmp_path, monkeypatch):
+    # the temp file takes its mode from the kernel's umask; reading the
+    # umask through os.umask would change it process-wide for a moment
+    plain = tmp_path / "plain.out"
+    with open(plain, "w"):
+        pass
+
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    path = tmp_path / "table.csv"
+    assert invoke(runner, ["bound", "--a2", "0.3", "--n", "10", "--eps", "0.1", "--out", str(path)]).exit_code == 0
+    assert path.read_text().startswith("#schema=v1\n")
+    assert path.stat().st_mode == plain.stat().st_mode
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".freqborn-")] == []
 
 
 def test_stdout_matches_file_output(runner, tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freqborn.combinatorics import LOG_ZERO, _bd0, _stirlerr, log_sum_exp_array, occupancy_log_weights
+from freqborn.combinatorics import LOG_ZERO, _bd0, _stirlerr, occupancy_log_weights
 from freqborn.decomposition import SingleCopyState, compositions, decompose_two_level
 
 
@@ -40,15 +40,6 @@ def kernel_log_factorial(n):
 
 def kernel_log_binomial(total, chosen):
     return kernel_log_multinomial([chosen, total - chosen])
-
-
-def log_sum_exp_list(values):
-    # exactly rounded reference: max shift, then math.fsum over the list
-    vals = [float(v) for v in values]
-    if not vals or max(vals) == LOG_ZERO:
-        return LOG_ZERO
-    peak = max(vals)
-    return peak + math.log(math.fsum(math.exp(v - peak) for v in vals if v != LOG_ZERO))
 
 
 # --- log factorials through the kernel --------------------------------------
@@ -128,34 +119,6 @@ def test_log_multinomial_matches_big_integer_oracle_everywhere():
                 assert weight - total * math.log(prob) == pytest.approx(
                     math.log(exact), rel=1e-12, abs=1e-12
                 )
-
-
-# --- log_sum_exp_array ------------------------------------------------------
-
-
-def test_log_sum_exp_empty_and_all_zero():
-    assert log_sum_exp_array(np.array([])) == LOG_ZERO
-    assert log_sum_exp_array(np.array([LOG_ZERO, LOG_ZERO])) == LOG_ZERO
-
-
-def test_log_sum_exp_halves():
-    assert abs(log_sum_exp_array(np.log(np.array([0.5, 0.5])))) <= 1e-15
-
-
-def test_log_sum_exp_uniform_thousand():
-    values = np.full(1000, math.log(0.001))
-    assert abs(log_sum_exp_array(values)) <= 1e-12
-
-
-def test_log_sum_exp_ignores_zero_sentinel():
-    assert log_sum_exp_array(np.array([0.0, LOG_ZERO])) == 0.0
-
-
-def test_log_sum_exp_array_agrees_with_list_version():
-    values = [math.log(w) for w in (0.1, 0.2, 0.3, 0.4)]
-    assert log_sum_exp_array(np.array(values)) == pytest.approx(log_sum_exp_list(values), abs=1e-14)
-    weights = np.log(np.random.default_rng(7).random(1000))
-    assert log_sum_exp_array(weights) == pytest.approx(log_sum_exp_list(weights), abs=1e-14)
 
 
 # --- zero sentinel algebra --------------------------------------------------
