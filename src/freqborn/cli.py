@@ -60,6 +60,8 @@ def state_options(command):
 
 
 def output_options(command):
+    """The --format and --out options, with the exit-code mapping of :func:`guarded`."""
+    command = guarded(command)
     command = click.option(
         "--out",
         "out_path",
@@ -91,25 +93,15 @@ def parse_amplitudes(text: str) -> list[complex]:
     return amplitudes
 
 
-def build_state(a2: float | None, amps: str | None, renormalize: bool) -> SingleCopyState:
+def build_state(a2: float | None, amps: str | None, renormalize: bool) -> tuple[SingleCopyState, dict]:
+    """The state from --a2 or --amps, and that one option as document metadata."""
     if (a2 is None) == (amps is None):
         raise click.UsageError("provide exactly one of --a2 or --amps")
     if a2 is not None:
         if renormalize:
             raise click.UsageError("--renormalize applies to --amps, not --a2")
-        return SingleCopyState.from_alpha_probability(a2)
-    return SingleCopyState(parse_amplitudes(amps), renormalize=renormalize)
-
-
-def state_meta(a2: float | None, amps: str | None) -> dict:
-    return {"a2": a2} if a2 is not None else {"amps": amps}
-
-
-def parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(piece.strip()) for piece in text.split(",") if piece.strip()]
-    except ValueError:
-        raise ValueError(f"{name} must be a comma-separated integer list, got {text!r}") from None
+        return SingleCopyState.from_alpha_probability(a2), {"a2": a2}
+    return SingleCopyState(parse_amplitudes(amps), renormalize=renormalize), {"amps": amps}
 
 
 def _joined_columns(values: list | range, counts: np.ndarray) -> list[str]:
@@ -119,10 +111,7 @@ def _joined_columns(values: list | range, counts: np.ndarray) -> list[str]:
 
 
 def emit(table: Table, output_format: str, out_path: str | None) -> None:
-    if output_format == "csv":
-        write_text(render_csv(table), out_path)
-    else:
-        write_text(render_json(table, __version__), out_path)
+    write_text(render_csv(table) if output_format == "csv" else render_json(table), out_path)
 
 
 @click.group()
@@ -147,7 +136,6 @@ def main():
 @click.option("--n", "num_copies", type=int, required=True, help="Copy count N.")
 @state_options
 @output_options
-@guarded
 def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
     """Expand an N-copy state over its occupation sectors.
 
@@ -157,10 +145,10 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
                          joined by '|')
     Zero weights render as -inf in CSV and null in JSON.
     """
-    state = build_state(a2, amps, renormalize)
+    state, source = build_state(a2, amps, renormalize)
     meta = {
         "command": "decompose",
-        **state_meta(a2, amps),
+        **source,
         "n": num_copies,
         "renormalize": renormalize,
     }
@@ -188,7 +176,6 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
 @click.option("--eps", type=float, required=True, help="Window half-width.")
 @state_options
 @output_options
-@guarded
 def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     """Measure outside-window mass against the tail bound for growing N.
 
@@ -196,8 +183,11 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     Columns: n, outside_mass, bound, inside_mass
     The window sits at r0 = |a|^2; bound = |a|^2 (1-|a|^2) / (eps^2 n).
     """
-    state = build_state(a2, amps, renormalize)
-    counts = parse_int_list(ns, "--ns")
+    state, source = build_state(a2, amps, renormalize)
+    try:
+        counts = [int(piece.strip()) for piece in ns.split(",") if piece.strip()]
+    except ValueError:
+        raise ValueError(f"--ns must be a comma-separated integer list, got {ns!r}") from None
     windows = convergence_scan(state, eps, counts)
     columns = {
         "n": counts,
@@ -205,7 +195,7 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
         "bound": [window.chebyshev_bound for window in windows],
         "inside_mass": [window.mass_inside for window in windows],
     }
-    meta = {"command": "scan", **state_meta(a2, amps), "ns": ns, "eps": eps}
+    meta = {"command": "scan", **source, "ns": ns, "eps": eps}
     emit(Table(columns, meta), output_format, out_path)
 
 
@@ -214,7 +204,6 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
 @click.option("--n", "num_copies", type=int, required=True, help="Copy count N.")
 @click.option("--eps", type=float, required=True, help="Window half-width.")
 @output_options
-@guarded
 def bound(a2, num_copies, eps, output_format, out_path):
     """Evaluate the tail bound |a|^2 (1-|a|^2) / (eps^2 N).
 
@@ -240,7 +229,6 @@ def bound(a2, num_copies, eps, output_format, out_path):
 @click.option("--eps", type=float, required=True, help="Window half-width.")
 @click.option("--renormalize", is_flag=True, help="Renormalize the wavefunction instead of rejecting it.")
 @output_options
-@guarded
 def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_format, out_path):
     """Reduce a sampled wavefunction plus a region to two-level statistics.
 
@@ -282,7 +270,6 @@ def cv(wavefunction_path, region_text, num_copies, eps, renormalize, output_form
 @click.option("--eps", type=float, default=None, help="Window half-width for the outer analysis (needs --outer).")
 @state_options
 @output_options
-@guarded
 def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize, output_format, out_path):
     """Distribution over success counts of one finite run.
 
@@ -295,11 +282,15 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
     """
     if num_runs is None and eps is not None:
         raise click.UsageError("--eps applies to --outer")
-    state = build_state(a2, amps, renormalize)
+    if num_runs is not None and observed is None:
+        raise click.UsageError("--outer needs --observed")
+    if num_runs is not None and eps is None:
+        raise click.UsageError("--outer needs --eps")
+    state, source = build_state(a2, amps, renormalize)
     masses = finite_run_distribution(state, num_measurements)
     meta = {
         "command": "finite-run",
-        **state_meta(a2, amps),
+        **source,
         "n_inner": num_measurements,
     }
     annotations: dict = {}
@@ -307,10 +298,6 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
         annotations["observed"] = observed
         annotations["surprise_index"] = surprise_index(masses, observed)
     if num_runs is not None:
-        if observed is None:
-            raise click.UsageError("--outer needs --observed")
-        if eps is None:
-            raise click.UsageError("--outer needs --eps")
         window = outer_frequency_check(masses, num_runs, observed, eps)
         annotations["outer_runs"] = num_runs
         annotations["outer_eps"] = eps
@@ -327,7 +314,6 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
 @click.option("--n", "num_copies", type=int, required=True, help="Copy count N.")
 @state_options
 @output_options
-@guarded
 def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     """Compare the closed-form expansion against brute-force enumeration.
 
@@ -335,7 +321,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     Columns: levels, n, sectors, max_abs_deviation, threshold, status
     Exits 0 iff the largest per-sector weight deviation is at most 1e-12.
     """
-    state = build_state(a2, amps, renormalize)
+    state, source = build_state(a2, amps, renormalize)
     closed = decompose_multilevel(state, num_copies)
     oracle = brute_force_decompose(state, num_copies)
     if not np.array_equal(closed.counts, oracle.counts):
@@ -344,7 +330,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
         np.max(np.abs(np.exp(closed.log_weights) - np.exp(oracle.log_weights)))
     )
     passed = deviation <= ORACLE_TOLERANCE
-    meta = {"command": "oracle-check", **state_meta(a2, amps), "n": num_copies}
+    meta = {"command": "oracle-check", **source, "n": num_copies}
     columns = {
         "levels": [state.num_levels],
         "n": [num_copies],

@@ -25,7 +25,7 @@ LOG_ZERO = float("-inf")
 # saddle-point decomposition (Stirling remainders plus binomial deviances)
 # keeps every intermediate small near the bulk of the mass: against 50-digit
 # mpmath, the bulk (weights above 1e-18) has 1.25e-13 absolute log error at
-# p = 0.3, N = 2000, from _bd0's general formula (ROADMAP item 2).
+# p = 0.3, N = 2000, from _bd0's general formula.
 
 _EXACT_TABLE_SIZE = 21
 _STIRLERR_TABLE = np.zeros(_EXACT_TABLE_SIZE)
@@ -97,6 +97,8 @@ def occupancy_log_weights(
     for counts, prob in zip(level_counts, level_probs):
         # + 0.0 turns a -0.0 center into +0.0, whose deviance is +inf, not nan
         center = float(total) * float(prob) + 0.0
+        # stirlerr and ln sqrt(2 pi n) stay per level: hoisting them out of the
+        # loop saved ~0.15 s but raised peak RSS 343 -> 419 MB (N = 5e6, 2 levels)
         table = np.empty(total + 1)
         table[0] = center
         table[1:] = _stirlerr(n)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import FrequencyDecomposition, SingleCopyState, decompose_two_level
-from .errors import unit_mass
+from .errors import check_eps, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 _LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
@@ -58,8 +58,7 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     a_sq = float(a_sq) + 0.0  # a -0.0 input bounds by 0.0, not -0.0
     if not 0.0 <= a_sq <= 1.0:
         raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     # left-to-right division keeps round cases like (0.5, 100, 0.1) -> 0.25 exact
@@ -76,8 +75,7 @@ def window_masses(
     :class:`WindowMass`); ``eps = inf`` keeps every sector inside.  The
     attached bound uses the level's own probability.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     if not math.isfinite(r0):
         raise ValueError(f"r0 must be finite, got {r0!r}")
     total = decomp.num_copies
@@ -115,6 +113,7 @@ def convergence_scan(
         raise ValueError("need at least one copy count")
     if any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"copy counts must be strictly increasing, got {counts}")
+    check_eps(eps)
     a_sq = float(state.level_probs[0])
     return tuple(window_masses(decompose_two_level(state, n), 0, a_sq, eps) for n in counts)
 
@@ -134,8 +133,7 @@ def check_localization(
     by :func:`~freqborn.errors.unit_mass`, no rescaling).  Works for any
     finitely supported distribution, not only frequency decompositions.
     """
-    if not eps > 0.0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    check_eps(eps)
     if not mass_tolerance >= 0.0:
         raise ValueError(f"mass_tolerance must be nonnegative, got {mass_tolerance!r}")
     qs = np.asarray(r, dtype=np.float64)

@@ -21,7 +21,7 @@ from .decomposition import (
     frequency_moments,
 )
 from .concentration import WindowMass, window_masses
-from .errors import unit_mass
+from .errors import check_eps, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
 UNIFORM_SPACING_RTOL = 1e-9
@@ -160,6 +160,7 @@ def region_frequency_analysis(
     Returns the frequency moments of the inside-count and the window masses
     around r0 = region probability.
     """
+    check_eps(eps)
     a_sq = region_probability(psi, region)
     state = SingleCopyState.from_alpha_probability(a_sq)
     decomp = decompose_two_level(state, num_copies)

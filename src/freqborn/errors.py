@@ -1,4 +1,4 @@
-"""Exception types and the capacity and unit-mass gates shared across the package."""
+"""Exception types and the capacity, eps and unit-mass gates shared across the package."""
 
 from __future__ import annotations
 
@@ -30,6 +30,11 @@ class ContractError(Exception):
 def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
     if requested > limit:
         raise CapacityError(f"{what} needs {requested} {unit}, above the limit of {limit} {unit}")
+
+
+def check_eps(eps: float) -> None:
+    if not eps > 0.0:
+        raise ValueError(f"eps must be positive, got {eps!r}")
 
 
 def unit_mass(

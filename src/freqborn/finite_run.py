@@ -12,6 +12,7 @@ import numpy as np
 
 from .concentration import WindowMass, window_masses
 from .decomposition import SingleCopyState, decompose_two_level
+from .errors import check_eps
 
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
@@ -40,6 +41,7 @@ def outer_frequency_check(
     sits at r0 = masses[observed_count].
     """
     hit_probability = float(masses[_check_count(masses, observed_count)])
+    check_eps(eps)
     state = SingleCopyState.from_alpha_probability(hit_probability)
     decomp = decompose_two_level(state, num_runs)
     return window_masses(decomp, 0, hit_probability, eps)

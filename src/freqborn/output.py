@@ -27,6 +27,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+from . import __version__
+
 SCHEMA_VERSION = "v1"
 
 # The rows key line of the indent=2 top-level object.  Encoded JSON values
@@ -90,9 +92,9 @@ def _json_cells(column: Sequence) -> list[str]:
     return cells
 
 
-def render_json(table: Table, version: str) -> str:
+def render_json(table: Table) -> str:
     document = {
-        "meta": {"schema": SCHEMA_VERSION, "version": version, **_jsonable(table.meta)},
+        "meta": {"schema": SCHEMA_VERSION, "version": __version__, **_jsonable(table.meta)},
         "rows": [],
     }
     if table.annotations:

@@ -113,6 +113,20 @@ def test_decompose_requires_exactly_one_state_input(runner):
     )
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["decompose", "--amps", "0.5", "--n", "3"], "need at least two comma-separated amplitudes"),
+        (["decompose", "--amps", "foo,1", "--n", "3"], "cannot parse amplitude 'foo'"),
+        (["scan", "--a2", "0.3", "--eps", "0.1", "--ns", "1,x"], "--ns must be a comma-separated integer list"),
+    ],
+)
+def test_malformed_lists_are_usage_errors(runner, args, message):
+    result = invoke(runner, args)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_decompose_rejects_out_of_range_probability(runner):
     assert invoke(runner, ["decompose", "--a2", "1.5", "--n", "3"]).exit_code == 2
 
@@ -364,6 +378,24 @@ def test_finite_run_outer_requires_observed_and_eps(runner):
     args = ["finite-run", "--a2", "0.3", "--n-inner", "10", "--outer", "100"]
     assert invoke(runner, args).exit_code == 2
     assert invoke(runner, args + ["--observed", "3"]).exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "0.1"], "--eps applies to --outer"),
+        (["--outer", "100", "--eps", "0.1"], "--outer needs --observed"),
+        (["--outer", "100", "--observed", "3"], "--outer needs --eps"),
+    ],
+)
+def test_finite_run_checks_flags_before_computing(runner, monkeypatch, flags, message):
+    def refuse(*args):
+        raise AssertionError("computed before checking the flags")
+
+    monkeypatch.setattr("freqborn.cli.finite_run_distribution", refuse)
+    result = invoke(runner, ["finite-run", "--a2", "0.3", "--n-inner", "10"] + flags)
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 def test_finite_run_eps_without_outer_is_usage_error(runner):

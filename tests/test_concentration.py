@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqborn import concentration, continuum, finite_run
 from freqborn.concentration import (
     chebyshev_bound,
     check_localization,
     convergence_scan,
     window_masses,
 )
+from freqborn.continuum import GridWavefunction, Region
 from freqborn.decomposition import (
     SingleCopyState,
     decompose_multilevel,
@@ -66,6 +68,28 @@ def test_nan_eps_is_rejected_everywhere():
         window_masses(decomp, 0, 0.3, nan)
     with pytest.raises(ValueError, match="eps"):
         check_localization(np.array([0.0, 1.0]), np.array([0.5, 0.5]), eps=nan, mass_tolerance=0.1)
+
+
+WINDOW_PIPELINES = {
+    concentration: lambda eps: concentration.convergence_scan(
+        SingleCopyState.from_alpha_probability(0.3), eps, [10]
+    ),
+    continuum: lambda eps: continuum.region_frequency_analysis(
+        GridWavefunction(0.0, 0.25, np.ones(4)), Region.parse("0:0.5"), 10, eps
+    ),
+    finite_run: lambda eps: finite_run.outer_frequency_check(np.array([0.25, 0.5, 0.25]), 10, 1, eps),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, float("nan")])
+@pytest.mark.parametrize("module", WINDOW_PIPELINES, ids=lambda module: module.__name__)
+def test_bad_eps_is_rejected_before_decomposing(monkeypatch, module, eps):
+    def refuse(*args):
+        raise AssertionError("decomposed before checking eps")
+
+    monkeypatch.setattr(module, "decompose_two_level", refuse)
+    with pytest.raises(ValueError, match="eps"):
+        WINDOW_PIPELINES[module](eps)
 
 
 # --- window masses --------------------------------------------------------------

@@ -79,6 +79,11 @@ def test_region_parse_infinite_bound():
     assert region.membership(np.array([-1.0, 0.0, 1e9])).tolist() == [False, True, True]
 
 
+def test_region_parse_empty_text_is_the_empty_region():
+    assert Region.parse("") == Region(())
+    assert Region.parse("  ").intervals == ()
+
+
 def test_region_parse_rejects_garbage():
     with pytest.raises(ValueError):
         Region.parse("0-1")
@@ -144,6 +149,20 @@ def test_csv_rejects_nonuniform_grid(tmp_path):
     xs[50] += 1e-4
     write_csv(path, [f"{x},1.0,0.0" for x in xs])
     with pytest.raises(ValueError, match="uniform"):
+        read_wavefunction_csv(str(path))
+
+
+def test_csv_rejects_decreasing_grid(tmp_path):
+    path = tmp_path / "psi.csv"
+    write_csv(path, ["0.2,1.0,0.0", "0.1,1.0,0.0", "0.0,1.0,0.0"])
+    with pytest.raises(ValueError, match="grid is not increasing"):
+        read_wavefunction_csv(str(path))
+
+
+def test_csv_rejects_comment_only_file(tmp_path):
+    path = tmp_path / "psi.csv"
+    path.write_text("# a comment\n\n# another\n")
+    with pytest.raises(ValueError, match="empty wavefunction file"):
         read_wavefunction_csv(str(path))
 
 

@@ -75,6 +75,13 @@ def test_from_probabilities_keeps_exact_values():
     assert float(state.level_probs[1]) == 0.7
 
 
+def test_from_probabilities_rejects_negative_values_and_single_levels():
+    with pytest.raises(ValueError, match="nonnegative"):
+        SingleCopyState.from_probabilities([-0.5, 1.5])
+    with pytest.raises(ValueError, match="at least two level probabilities"):
+        SingleCopyState.from_probabilities([1.0])
+
+
 def test_from_alpha_probability_range():
     with pytest.raises(ValueError):
         SingleCopyState.from_alpha_probability(1.5)

@@ -2,14 +2,14 @@
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqborn.output import SCHEMA_VERSION, Table, render_csv, render_json
-
-VERSION = "9.9.9"
+from freqborn import __version__ as VERSION
+from freqborn.output import SCHEMA_VERSION, Table, render_csv, render_json, write_text
 
 
 def reference_csv(columns, rows, annotations):
@@ -66,7 +66,7 @@ def test_renderers_match_row_wise_reference(case):
     assert table.rows == rows
     columns = list(table.columns)
     assert render_csv(table) == reference_csv(columns, rows, table.annotations)
-    assert render_json(table, VERSION) == reference_json(columns, rows, table.meta, table.annotations)
+    assert render_json(table) == reference_json(columns, rows, table.meta, table.annotations)
 
 
 @settings(max_examples=50, deadline=None)
@@ -79,6 +79,20 @@ def test_nan_cell_raises_in_json_like_the_reference(case):
         with pytest.raises(ValueError):
             reference_json(columns, rows, table.meta, table.annotations)
         with pytest.raises(ValueError):
-            render_json(table, VERSION)
+            render_json(table)
     else:
-        assert render_json(table, VERSION) == reference_json(columns, rows, table.meta, table.annotations)
+        assert render_json(table) == reference_json(columns, rows, table.meta, table.annotations)
+
+
+def test_failed_rename_keeps_the_old_file_and_removes_the_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "doc.csv"
+    target.write_text("old\n")
+
+    def failing_replace(source, destination):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        write_text("new\n", str(target))
+    assert target.read_text() == "old\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["doc.csv"]
