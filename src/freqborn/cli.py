@@ -16,8 +16,8 @@ from . import __version__
 from .concentration import chebyshev_bound, convergence_scan
 from .continuum import Region, read_wavefunction_csv, region_frequency_analysis
 from .decomposition import SingleCopyState, brute_force_decompose, decompose_multilevel
-from .errors import CapacityError, ContractError, NormalizationError
-from .finite_run import finite_run_distribution, outer_frequency_check, surprise_index
+from .errors import CapacityError, ContractError, NormalizationError, check_eps
+from .finite_run import check_observed_count, finite_run_distribution, outer_frequency_check, surprise_index
 from .output import Table, render_csv, render_json, write_text
 
 ORACLE_TOLERANCE = 1e-12
@@ -286,6 +286,11 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
         raise click.UsageError("--outer needs --observed")
     if num_runs is not None and eps is None:
         raise click.UsageError("--outer needs --eps")
+    # flag values too, before any decomposition; it names a --n-inner below 1 itself
+    if observed is not None and num_measurements >= 1:
+        check_observed_count(observed, num_measurements)
+    if num_runs is not None:
+        check_eps(eps)
     state, source = build_state(a2, amps, renormalize)
     masses = finite_run_distribution(state, num_measurements)
     meta = {

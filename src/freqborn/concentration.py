@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import FrequencyDecomposition, SingleCopyState, decompose_two_level
+from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_weights
 from .errors import check_eps, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
@@ -68,22 +68,27 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
 def window_masses(
     decomp: FrequencyDecomposition, level: int, r0: float, eps: float
 ) -> WindowMass:
-    """Partition one level's frequency mass at the window around ``r0``.
+    """Partition one level's frequency mass at the window around ``r0``, by :func:`window_masses_over`."""
+    counts, prob = decomp.level_counts(level), float(decomp.level_probs[level])
+    return window_masses_over(counts, np.exp(decomp.log_weights), decomp.num_copies, prob, r0, eps)
+
+
+def window_masses_over(
+    counts: np.ndarray, weights: np.ndarray, num_copies: int, prob: float, r0: float, eps: float
+) -> WindowMass:
+    """Partition the linear ``weights`` of level counts ``counts`` out of N at the window around ``r0``.
 
     Strictly below r0 - eps, strictly above r0 + eps, closed window between,
     classified in integer count space against exact decimal edges (see
     :class:`WindowMass`); ``eps = inf`` keeps every sector inside.  The
-    attached bound uses the level's own probability.
+    attached bound uses the level probability ``prob``.
     """
     check_eps(eps)
     if not math.isfinite(r0):
         raise ValueError(f"r0 must be finite, got {r0!r}")
-    total = decomp.num_copies
     lower, upper = _decimal_edges(r0, eps)
-    lo = min(max(math.ceil(total * lower), 0), total + 1)
-    hi = min(max(math.floor(total * upper), -1), total)
-    counts = decomp.level_counts(level)
-    weights = np.exp(decomp.log_weights)
+    lo = min(max(math.ceil(num_copies * lower), 0), num_copies + 1)
+    hi = min(max(math.floor(num_copies * upper), -1), num_copies)
     below = counts < lo
     above = counts > hi
     return WindowMass(
@@ -92,7 +97,7 @@ def window_masses(
         mass_below=float(weights[below].sum()),
         mass_inside=float(weights[~(below | above)].sum()),
         mass_above=float(weights[above].sum()),
-        chebyshev_bound=chebyshev_bound(float(decomp.level_probs[level]), decomp.num_copies, eps),
+        chebyshev_bound=chebyshev_bound(prob, num_copies, eps),
     )
 
 
@@ -115,7 +120,8 @@ def convergence_scan(
         raise ValueError(f"copy counts must be strictly increasing, got {counts}")
     check_eps(eps)
     a_sq = float(state.level_probs[0])
-    return tuple(window_masses(decompose_two_level(state, n), 0, a_sq, eps) for n in counts)
+    weights = (two_level_weights(state, n) for n in counts)
+    return tuple(window_masses_over(np.arange(w.size), w, w.size - 1, a_sq, a_sq, eps) for w in weights)
 
 
 def check_localization(

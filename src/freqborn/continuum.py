@@ -14,13 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import (
-    MomentReport,
-    SingleCopyState,
-    decompose_two_level,
-    frequency_moments,
-)
-from .concentration import WindowMass, window_masses
+from .decomposition import MomentReport, SingleCopyState, frequency_moments_over, two_level_weights
+from .concentration import WindowMass, window_masses_over
 from .errors import check_eps, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
@@ -163,5 +158,6 @@ def region_frequency_analysis(
     check_eps(eps)
     a_sq = region_probability(psi, region)
     state = SingleCopyState.from_alpha_probability(a_sq)
-    decomp = decompose_two_level(state, num_copies)
-    return frequency_moments(decomp, level=0), window_masses(decomp, 0, a_sq, eps)
+    weights = two_level_weights(state, num_copies)
+    level = (np.arange(weights.size), weights, weights.size - 1, float(state.level_probs[0]))
+    return frequency_moments_over(*level), window_masses_over(*level, a_sq, eps)

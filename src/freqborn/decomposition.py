@@ -149,9 +149,51 @@ def decompose_two_level(state: SingleCopyState, num_copies: int) -> FrequencyDec
     :func:`decompose_multilevel` restricted to two-level states: the weight
     at count ``n`` equals C(N,n) |a|^{2n} |b|^{2(N-n)} in the linear domain.
     """
+    _check_two_level(state)
+    return decompose_multilevel(state, num_copies)
+
+
+def two_level_weights(state: SingleCopyState, num_copies: int) -> np.ndarray:
+    """``np.exp(decompose_two_level(state, N).log_weights)`` bit for bit, read-only, same guards.
+
+    The kernel runs only on a window of counts around the mode floor((N + 1) p), doubled until
+    each end is 0 or N or has weight 0.0.  The float weight falls monotonically away from the
+    mode, so every count outside the window has weight 0.0 too: the window covers the band of
+    nonzero weights, and the rest are the zeros the dense path gives.
+    """
+    _check_two_level(state)
+    total = _check_size(state, num_copies)
+    prob = float(state.level_probs[0])
+    mode = min(math.floor((total + 1) * prob), total)
+    # a Gaussian tail falls below the smallest subnormal, exp(-745.13), 38.6 deviations out
+    half = math.ceil(40.0 * math.sqrt(total * prob * (1.0 - prob))) + 1
+    while True:
+        lo, hi = max(mode - half, 0), min(mode + half, total)
+        n = np.arange(lo, hi + 1)
+        band = np.exp(occupancy_log_weights(total, (n, total - n), state.level_probs))
+        if (lo == 0 or band[0] == 0.0) and (hi == total or band[-1] == 0.0):
+            break
+        half *= 2
+    weights = np.zeros(total + 1)
+    weights[lo : hi + 1] = band
+    weights.setflags(write=False)
+    return weights
+
+
+def _check_two_level(state: SingleCopyState) -> None:
     if state.num_levels != 2:
         raise ValueError(f"state has {state.num_levels} levels, expected 2")
-    return decompose_multilevel(state, num_copies)
+
+
+def _check_size(state: SingleCopyState, num_copies: int) -> int:
+    """N as an int, checked positive and within ``MAX_DECOMPOSITION_BYTES`` for the dense layout."""
+    num_copies = int(num_copies)
+    if num_copies < 1:
+        raise ValueError(f"num_copies must be positive, got {num_copies}")
+    m = state.num_levels
+    needed = 8 * (m + 1) * math.comb(num_copies + m - 1, m - 1)
+    check_capacity(needed, MAX_DECOMPOSITION_BYTES, "decomposition", "bytes")
+    return num_copies
 
 
 def compositions(total: int, parts: int) -> np.ndarray:
@@ -197,13 +239,8 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
     count matrix plus the log weights.  Levels with zero probability yield
     the ``LOG_ZERO`` sentinel.
     """
-    num_copies = int(num_copies)
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
-    m = state.num_levels
-    needed = 8 * (m + 1) * math.comb(num_copies + m - 1, m - 1)
-    check_capacity(needed, MAX_DECOMPOSITION_BYTES, "decomposition", "bytes")
-    counts = compositions(num_copies, m)
+    num_copies = _check_size(state, num_copies)
+    counts = compositions(num_copies, state.num_levels)
     log_weights = occupancy_log_weights(num_copies, counts.T, state.level_probs)
     return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
 
@@ -218,18 +255,21 @@ def total_mass(decomp: FrequencyDecomposition) -> float:
 
 
 def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentReport:
-    """Mean and variance of one level's relative frequency.
+    """Mean and variance of one level's relative frequency, by :func:`frequency_moments_over`."""
+    counts, prob = decomp.level_counts(level), float(decomp.level_probs[level])
+    return frequency_moments_over(counts, np.exp(decomp.log_weights), decomp.num_copies, prob)
+
+
+def frequency_moments_over(counts: np.ndarray, weights: np.ndarray, num_copies: int, prob: float) -> MomentReport:
+    """Mean and variance of the frequency ``counts / N`` under the linear ``weights``.
 
     The variance is taken about the level probability p, and the report
     carries the closed-form prediction p(1-p)/N alongside.
     """
-    counts = decomp.level_counts(level)
-    prob = float(decomp.level_probs[level])
-    r = counts / np.float64(decomp.num_copies)
-    weights = np.exp(decomp.log_weights)
+    r = counts / np.float64(num_copies)
     mean = float(np.dot(r, weights))
     variance = float(np.dot((r - prob) ** 2, weights))
-    return MomentReport(mean, variance, prob * (1.0 - prob) / decomp.num_copies)
+    return MomentReport(mean, variance, prob * (1.0 - prob) / num_copies)
 
 
 def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:

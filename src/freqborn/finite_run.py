@@ -10,23 +10,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concentration import WindowMass, window_masses
-from .decomposition import SingleCopyState, decompose_two_level
+from .concentration import WindowMass, window_masses_over
+from .decomposition import SingleCopyState, two_level_weights
 from .errors import check_eps
 
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
-    """Read-only masses of observing n = 0..N_inner successes in one finite run."""
-    decomp = decompose_two_level(state, num_measurements)
-    masses = np.exp(decomp.log_weights)
-    masses.setflags(write=False)
-    return masses
+    """Read-only masses of n = 0..N_inner successes in one run; the kernel runs only around the nonzero band."""
+    return two_level_weights(state, num_measurements)
 
 
-def _check_count(masses: np.ndarray, observed_count: int) -> int:
+def check_observed_count(observed_count: int, num_measurements: int) -> int:
     observed_count = int(observed_count)
-    if not 0 <= observed_count < masses.size:
-        raise ValueError(f"observed_count={observed_count} out of range 0..{masses.size - 1}")
+    if not 0 <= observed_count <= num_measurements:
+        raise ValueError(f"observed_count={observed_count} out of range 0..{num_measurements}")
     return observed_count
 
 
@@ -40,11 +37,12 @@ def outer_frequency_check(
     expansion, which agrees with it for single-count frequencies; the window
     sits at r0 = masses[observed_count].
     """
-    hit_probability = float(masses[_check_count(masses, observed_count)])
+    hit_probability = float(masses[check_observed_count(observed_count, masses.size - 1)])
     check_eps(eps)
     state = SingleCopyState.from_alpha_probability(hit_probability)
-    decomp = decompose_two_level(state, num_runs)
-    return window_masses(decomp, 0, hit_probability, eps)
+    weights = two_level_weights(state, num_runs)
+    total = weights.size - 1
+    return window_masses_over(np.arange(total + 1), weights, total, hit_probability, hit_probability, eps)
 
 
 def surprise_index(masses: np.ndarray, observed_count: int) -> float:
@@ -53,5 +51,5 @@ def surprise_index(masses: np.ndarray, observed_count: int) -> float:
     1.0 means maximally typical (the mode); small values flag outcomes whose
     likelihood class is collectively improbable.
     """
-    threshold = masses[_check_count(masses, observed_count)]
+    threshold = masses[check_observed_count(observed_count, masses.size - 1)]
     return float(masses[masses <= threshold].sum())

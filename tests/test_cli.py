@@ -398,6 +398,25 @@ def test_finite_run_checks_flags_before_computing(runner, monkeypatch, flags, me
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--observed", "11"], "observed_count=11 out of range 0..10"),
+        (["--observed", "-1"], "observed_count=-1 out of range 0..10"),
+        (["--observed", "3", "--outer", "100", "--eps", "0"], "eps must be positive, got 0.0"),
+        (["--observed", "3", "--outer", "100", "--eps", "nan"], "eps must be positive, got nan"),
+    ],
+)
+def test_finite_run_checks_values_before_computing(runner, monkeypatch, flags, message):
+    def refuse(*args):
+        raise AssertionError("computed before checking the values")
+
+    monkeypatch.setattr("freqborn.cli.finite_run_distribution", refuse)
+    result = invoke(runner, ["finite-run", "--a2", "0.3", "--n-inner", "10"] + flags)
+    assert result.exit_code == 2
+    assert message in result.output
+
+
 def test_finite_run_eps_without_outer_is_usage_error(runner):
     result = invoke(runner, ["finite-run", "--a2", "0.3", "--n-inner", "3", "--eps", "0.1"])
     assert result.exit_code == 2

@@ -246,6 +246,43 @@ def test_multilevel_tables_match_per_sector_formula_bitwise(total, probs):
     assert kernel.tobytes() == per_sector_log_weights(total, columns, probs).tobytes()
 
 
+# --- count sub-ranges -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "prob, total, lo, hi",
+    [
+        (0.3, 40, 0, 12),  # from count 0
+        (0.3, 40, 10, 30),  # both levels cross the Stirling table edge at 21
+        (0.3, 21, 1, 20),
+        (0.3, 2000, 480, 500),  # level 0 crosses near/far at 600 * 9/11
+        (0.3, 2000, 725, 740),  # level 0 crosses near/far at 600 * 11/9
+        (0.3, 2000, 280, 300),  # level 1 crosses near/far at 2000 - 1400 * 11/9
+        (0.05, 200000, 8100, 8300),
+        (0.0, 22, 0, 3),
+        (1.0, 22, 19, 22),
+        (1e-320, 1000, 0, 1000),
+    ],
+)
+def test_kernel_on_a_count_range_matches_the_full_table_bitwise(prob, total, lo, hi):
+    ns = np.arange(total + 1)
+    probs = [prob, 1.0 - prob]
+    full = occupancy_log_weights(total, [ns, total - ns], probs)
+    sub = np.arange(lo, hi + 1)
+    assert occupancy_log_weights(total, [sub, total - sub], probs).tobytes() == full[lo : hi + 1].tobytes()
+    for n in (lo, hi):
+        single = np.array([n])
+        assert occupancy_log_weights(total, [single, total - single], probs).tobytes() == full[n : n + 1].tobytes()
+
+
+@pytest.mark.parametrize("probs", [[0.36, 0.0, 0.64], [0.2, 0.3, 0.5]])
+def test_kernel_on_a_multilevel_row_subset_matches_the_full_table_bitwise(probs):
+    counts = compositions(40, len(probs))
+    full = occupancy_log_weights(40, counts.T, probs)
+    rows = (counts[:, 0] >= 15) & (counts[:, 0] <= 30) & (counts[:, 1] >= 5)
+    assert occupancy_log_weights(40, counts[rows].T, probs).tobytes() == full[rows].tobytes()
+
+
 # --- recorded kernel bits ---------------------------------------------------
 
 # SHA-256 of occupancy_log_weights(...).tobytes(), recorded from a known-good

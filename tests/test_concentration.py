@@ -87,7 +87,7 @@ def test_bad_eps_is_rejected_before_decomposing(monkeypatch, module, eps):
     def refuse(*args):
         raise AssertionError("decomposed before checking eps")
 
-    monkeypatch.setattr(module, "decompose_two_level", refuse)
+    monkeypatch.setattr(module, "two_level_weights", refuse)
     with pytest.raises(ValueError, match="eps"):
         WINDOW_PIPELINES[module](eps)
 
