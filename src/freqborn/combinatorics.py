@@ -92,8 +92,9 @@ def occupancy_log_weights(
     exactly ``LOG_ZERO``.
     Swapping two equal-probability levels permutes the weights bit for bit.
     """
+    # the total's own deviance _bd0(total, total) is exactly 0.0, so it is left out
     ntot = np.array([float(total)])
-    base = float((_stirlerr(ntot) + _bd0(ntot, float(total)) + 0.5 * np.log(2.0 * np.pi * ntot))[0])
+    base = float((_stirlerr(ntot) + 0.5 * np.log(2.0 * np.pi * ntot))[0])
     subtrahend = np.zeros(level_counts[0].shape[0])
     for counts, prob in zip(level_counts, level_probs):
         # + 0.0 turns a -0.0 center into +0.0, whose deviance is +inf, not nan

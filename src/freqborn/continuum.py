@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -108,7 +109,9 @@ class Region:
 def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunction:
     """Load a wavefunction from a CSV file with header ``x,re,im``.
 
-    The grid must be uniformly spaced within 1e-9 relative tolerance.
+    Rows whose first cell starts with ``#`` and blank rows are skipped, and
+    every cell is read with ``float()``.  The grid coordinates must not be
+    infinite and must be uniformly spaced within 1e-9 relative tolerance.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -120,20 +123,25 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
         raise ValueError(f"{path}: expected header x,re,im, got {rows[0]!r}")
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least two sample rows")
-    if any(len(row) != 3 for row in rows[1:]):
+    body = rows[1:]
+    if any(len(row) != 3 for row in body):
         raise ValueError(f"{path}: every row needs exactly three columns")
     try:
-        data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
+        cells = np.fromiter(map(float, chain.from_iterable(body)), np.float64, 3 * len(body))
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
+    data = cells.reshape(-1, 3)
     x = data[:, 0]
-    spacing = (x[-1] - x[0]) / (len(x) - 1)
+    if np.any(np.isinf(x)):
+        raise ValueError(f"{path}: grid coordinates must be finite")
+    # in Python floats, so a span beyond the float range is inf without a warning
+    spacing = (float(x[-1]) - float(x[0])) / (len(x) - 1)
     if not spacing > 0.0:
         raise ValueError(f"{path}: grid is not increasing")
     if not np.max(np.abs(np.diff(x) - spacing)) <= UNIFORM_SPACING_RTOL * spacing:
         raise ValueError(f"{path}: grid spacing is not uniform within {UNIFORM_SPACING_RTOL} relative")
     samples = data[:, 1] + 1j * data[:, 2]
-    return GridWavefunction(float(x[0]), float(spacing), samples, renormalize=renormalize)
+    return GridWavefunction(float(x[0]), spacing, samples, renormalize=renormalize)
 
 
 def region_probability(psi: GridWavefunction, region: Region) -> float:

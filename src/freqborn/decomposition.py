@@ -8,7 +8,6 @@ count n of the first level and the relative frequency is r = n/N.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -25,6 +24,8 @@ STATE_NORM_TOLERANCE = 1e-9
 MAX_DECOMPOSITION_BYTES = 24 * (10**7 + 1)
 # Time guard on the oracle, which visits every outcome sequence.
 MAX_BRUTE_FORCE_SEQUENCES = 2 * 10**7
+# Sequences the oracle holds at once.
+BRUTE_FORCE_BLOCK = 2**16
 
 
 class SingleCopyState:
@@ -278,6 +279,15 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
     Each of the M^N sequences contributes the squared modulus of its amplitude
     product to the sector matching its occupation counts.  Deliberately shares
     no numerics with the closed-form route beyond complex arithmetic.
+
+    Sequences run in ``itertools.product`` order, in blocks of at most
+    ``BRUTE_FORCE_BLOCK``: the leading copies fix a run of prefixes and the
+    remaining copies are appended to all of them at once.  Each product is
+    built left to right from 1 + 0j as CPython's ``complex.__mul__`` builds it,
+    one rounded real operation per ufunc, and ``np.add.at`` adds each mass to
+    its sector in sequence order, so every sum rounds like the plain loop's.
+    A sequence's sector is its occupation code, the counts as base-(N + 1)
+    digits with level 0 most significant, so sorted codes are sorted sectors.
     """
     num_copies = int(num_copies)
     if num_copies < 1:
@@ -285,19 +295,36 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
     m = state.num_levels
     sequences = m**num_copies
     check_capacity(sequences, MAX_BRUTE_FORCE_SEQUENCES, "brute-force enumeration", "sequences")
-    amps = [complex(a) for a in state.amplitudes]
-    masses: dict[tuple[int, ...], float] = {}
-    for seq in itertools.product(range(m), repeat=num_copies):
-        amp = complex(1.0)
-        occupation = [0] * m
-        for s in seq:
-            amp *= amps[s]
-            occupation[s] += 1
-        key = tuple(occupation)
-        masses[key] = masses.get(key, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
-    keys = sorted(masses)
-    counts = np.array(keys, dtype=np.int64)
-    log_weights = np.array(
-        [math.log(masses[k]) if masses[k] > 0.0 else LOG_ZERO for k in keys]
-    )
+    radix = num_copies + 1
+    # Python ints once the largest code, N (N + 1)^(M - 1), no longer fits in int64
+    dtype = np.int64 if radix**m <= 2**63 else object
+    place = np.array([radix ** (m - 1 - level) for level in range(m)], dtype=dtype)
+    amps = (state.amplitudes.real, state.amplitudes.imag)
+    inner = 0
+    while inner < num_copies and m ** (inner + 1) <= BRUTE_FORCE_BLOCK:
+        inner += 1
+    empty = (np.ones(1), np.zeros(1), np.zeros(1, dtype=dtype))
+    prefixes = _append_copies(empty, amps, place, num_copies - inner)
+    # every sequence's code is one prefix code plus one code of the inner copies
+    suffix_codes = _append_copies(empty, amps, place, inner)[2]
+    keys = np.unique(np.add.outer(np.unique(prefixes[2]), np.unique(suffix_codes)))
+    masses = np.zeros(keys.size)
+    rows = max(BRUTE_FORCE_BLOCK // m**inner, 1)
+    for start in range(0, prefixes[0].size, rows):
+        re, im, code = _append_copies([part[start : start + rows] for part in prefixes], amps, place, inner)
+        np.add.at(masses, np.searchsorted(keys, code), re * re + im * im)
+    counts = np.empty((keys.size, m), dtype=np.int64)
+    for level in range(m):
+        counts[:, level] = keys // place[level] % radix
+    log_weights = np.array([math.log(w) if w > 0.0 else LOG_ZERO for w in masses.tolist()])
     return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
+
+
+def _append_copies(sequences, amps, place, copies):
+    """Append ``copies`` copies to every (re, im, code) sequence, each level in turn, in product order."""
+    (re, im, code), (ar, ai) = sequences, amps
+    for _ in range(copies):
+        re, im = re[:, None], im[:, None]
+        re, im = (re * ar - im * ai).ravel(), (re * ai + im * ar).ravel()
+        code = np.add.outer(code, place).ravel()
+    return re, im, code

@@ -340,6 +340,34 @@ def test_cv_rejects_nan_grid_point(runner, tmp_path):
     assert "not uniform" in result.output
 
 
+def run_cli(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "freqborn.cli", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "grid,code,message",
+    [
+        (("0.0", "1.0", "inf"), 2, "grid coordinates must be finite"),
+        (("-inf", "1.0", "inf"), 2, "grid coordinates must be finite"),
+        # finite coordinates whose span overflows: spacing inf, so the grid mass is inf
+        (("-1e308", "0.0", "1e308"), 4, "total grid mass is inf"),
+    ],
+)
+def test_cv_out_of_range_grid_reports_one_line(tmp_path, grid, code, message):
+    path = tmp_path / "psi.csv"
+    path.write_text("x,re,im\n" + "".join(f"{x},1.0,0.0\n" for x in grid))
+    child = run_cli("cv", "--wavefunction", str(path), "--region", "0:1", "--n", "10", "--eps", "0.1")
+    assert child.returncode == code
+    assert child.stdout == ""
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1, child.stderr
+    assert message in lines[0]
+
+
 # --- finite-run -----------------------------------------------------------------------
 
 
@@ -460,6 +488,14 @@ def test_oracle_check_capacity_exit_code(runner):
     assert result.exit_code == 3
 
 
+def test_oracle_check_capacity_message(runner):
+    result = invoke(runner, ["oracle-check", "--amps", "0.5,0.5,0.5,0.5", "--n", "13"])
+    assert result.exit_code == 3
+    assert result.stderr == (
+        "capacity error: brute-force enumeration needs 67108864 sequences, above the limit of 20000000 sequences\n"
+    )
+
+
 def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):
     import freqborn.cli as cli_module
 
@@ -560,15 +596,7 @@ def test_cli_import_does_not_load_scipy():
 
 
 def test_cli_overflowing_renormalize_reports_one_line():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run(
-        [sys.executable, "-m", "freqborn.cli", "decompose", "--amps", "1e200,1e200", "--n", "2", "--renormalize"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    child = run_cli("decompose", "--amps", "1e200,1e200", "--n", "2", "--renormalize")
     assert child.returncode == 4
     assert child.stdout == ""
     lines = child.stderr.splitlines()

@@ -1,5 +1,6 @@
 """Unit tests for the grid-wavefunction region reduction."""
 
+import csv
 import math
 
 import numpy as np
@@ -184,6 +185,52 @@ def test_csv_rejects_ragged_rows(tmp_path):
     path = tmp_path / "psi.csv"
     write_csv(path, ["0.0,1.0,0.0", "0.1,1.0,0.0,0.0", "0.2,1.0,0.0"])
     with pytest.raises(ValueError, match="three columns"):
+        read_wavefunction_csv(str(path))
+
+
+def reference_csv_samples(path):
+    # the reader's rule with one float() per cell in a nested list
+    with open(path, newline="") as handle:
+        rows = [row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")]
+    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
+    x = data[:, 0]
+    return x[0], (x[-1] - x[0]) / (len(x) - 1), data[:, 1] + 1j * data[:, 2]
+
+
+def test_csv_edge_files_match_per_cell_float_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(11)
+    values = rng.normal(size=(40, 2)) / math.sqrt(40 * 0.05 * 2)
+    lines = ["# leading comment", "", '"x", re ,im']
+    for k, (re, im) in enumerate(values.tolist()):
+        x = repr(-1.0 + 0.05 * k)
+        cells = [f'"{x}"', f"  {re!r} ", f"{im:.17e}"] if k % 3 == 0 else [x, repr(re), f" {im!r}"]
+        lines.append(",".join(cells))
+        if k == 17:
+            lines += ["#x,re,im in mid-file", "", "   # indented comment"]
+    path = tmp_path / "psi.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    psi = read_wavefunction_csv(str(path), renormalize=True)
+    origin, spacing, samples = reference_csv_samples(path)
+    assert psi.size == 40
+    assert psi.origin.hex() == origin.hex()
+    assert psi.spacing.hex() == spacing.hex()
+    expected = GridWavefunction(origin, spacing, samples, renormalize=True)
+    assert psi.samples.tobytes() == expected.samples.tobytes()
+    assert psi.density.tobytes() == expected.density.tobytes()
+
+
+@pytest.mark.parametrize("grid", [("0.0", "1.0", "inf"), ("-inf", "1.0", "inf"), ("0.0", "-inf", "2.0")])
+def test_csv_rejects_infinite_grid_coordinates(tmp_path, grid):
+    path = tmp_path / "psi.csv"
+    write_csv(path, [f"{x},1.0,0.0" for x in grid])
+    with pytest.raises(ValueError, match="grid coordinates must be finite"):
+        read_wavefunction_csv(str(path))
+
+
+def test_csv_span_overflow_is_a_normalization_error(tmp_path):
+    path = tmp_path / "psi.csv"
+    write_csv(path, ["-1e308,1.0,0.0", "0.0,1.0,0.0", "1e308,1.0,0.0"])
+    with pytest.raises(NormalizationError, match="inf"):
         read_wavefunction_csv(str(path))
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the N-copy occupation-sector expansion."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from freqborn.combinatorics import LOG_ZERO
 from freqborn.decomposition import (
+    BRUTE_FORCE_BLOCK,
     FrequencyDecomposition,
     SingleCopyState,
     brute_force_decompose,
@@ -231,6 +233,66 @@ def test_brute_force_single_copy_weights_are_level_probs():
 def test_brute_force_capacity_guard():
     with pytest.raises(CapacityError):
         brute_force_decompose(SingleCopyState.from_alpha_probability(0.5), 25)
+
+
+def reference_brute_force(amplitudes, copies):
+    # one sequence at a time in itertools.product order, one Python complex
+    # product and one float sum per sequence: the plain loop the oracle's
+    # blocks must reproduce bit for bit
+    amps = [complex(a) for a in amplitudes]
+    masses = {}
+    for seq in itertools.product(range(len(amps)), repeat=copies):
+        amp = complex(1.0)
+        occupation = [0] * len(amps)
+        for s in seq:
+            amp *= amps[s]
+            occupation[s] += 1
+        key = tuple(occupation)
+        masses[key] = masses.get(key, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
+    keys = sorted(masses)
+    log_weights = [math.log(masses[k]) if masses[k] > 0.0 else LOG_ZERO for k in keys]
+    return np.array(keys, dtype=np.int64), np.array(log_weights)
+
+
+def unit_amplitudes(count, seed, zero_level=None):
+    rng = np.random.default_rng(seed)
+    amps = rng.uniform(0.1, 1.0, count) * np.exp(2j * np.pi * rng.uniform(size=count))
+    if zero_level is not None:
+        amps[zero_level] = 0.0
+    return amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "amplitudes,copies",
+    [
+        ([0.6, 0.8j], 9),
+        (unit_amplitudes(2, 1), 12),
+        (unit_amplitudes(3, 2), 7),
+        (unit_amplitudes(3, 3, zero_level=1), 6),
+        (unit_amplitudes(4, 4), 5),
+        (unit_amplitudes(4, 5, zero_level=0), 4),
+        # M^N equal to the block, just above it, and one copy more
+        (unit_amplitudes(2, 6), 16),
+        (unit_amplitudes(4, 7), 8),
+        (unit_amplitudes(5, 8), 7),
+        (unit_amplitudes(2, 9), 17),
+        # (N + 1)^M beyond int64: the occupation codes are Python ints
+        (unit_amplitudes(64, 10), 2),
+    ],
+)
+def test_brute_force_matches_plain_loop_bit_for_bit(amplitudes, copies):
+    state = SingleCopyState(amplitudes)
+    oracle = brute_force_decompose(state, copies)
+    counts, log_weights = reference_brute_force(state.amplitudes, copies)
+    assert oracle.counts.dtype == np.int64
+    assert oracle.counts.flags.c_contiguous
+    assert np.array_equal(oracle.counts, counts)
+    assert oracle.log_weights.tobytes() == log_weights.tobytes()
+
+
+def test_brute_force_block_bounds_the_test_cases():
+    # the cases above straddle the block: 2^16 = 4^8 fill it, 5^7 and 2^17 exceed it
+    assert BRUTE_FORCE_BLOCK == 2**16 == 4**8 < 5**7 < 2**17
 
 
 def max_weight_deviation(closed, oracle):
