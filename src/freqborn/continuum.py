@@ -110,8 +110,8 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
     """Load a wavefunction from a CSV file with header ``x,re,im``.
 
     Rows whose first cell starts with ``#`` and blank rows are skipped, and
-    every cell is read with ``float()``.  The grid coordinates must not be
-    infinite and must be uniformly spaced within 1e-9 relative tolerance.
+    every cell is read with ``float()``.  The grid coordinates must be finite
+    and uniformly spaced within 1e-9 relative tolerance.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -132,7 +132,7 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
         raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
     data = cells.reshape(-1, 3)
     x = data[:, 0]
-    if np.any(np.isinf(x)):
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: grid coordinates must be finite")
     # in Python floats, so a span beyond the float range is inf without a warning
     spacing = (float(x[-1]) - float(x[0])) / (len(x) - 1)

@@ -16,6 +16,18 @@ from the JSON-encoded column names; it reproduces exactly what
 are those of the row-wise renderer.  ``Table.rows`` transposes back to row
 tuples only for callers that count rows from outside the package; nothing in
 the package reads it.
+
+Each renderer builds its row text through one ``render(lo, hi)`` over a row
+range.  A table of at least ``SPLIT_ROWS`` rows is formatted in two
+processes: a forked child renders the upper half and writes it, UTF-8
+encoded, to a pipe, while this process renders the lower half, then reads
+the pipe to EOF and joins the halves.  The bytes are those of the serial
+``render(0, size)``.  The child is reaped on every path, an exception or an
+interrupt included.  The serial call runs instead below ``SPLIT_ROWS`` rows,
+where ``os.fork`` is missing, where the process may use only one CPU, and
+where the fork fails.  If the child exits nonzero (a NaN JSON cell, say),
+this process renders the upper half itself, so it raises what the serial
+path raises.
 """
 
 from __future__ import annotations
@@ -24,8 +36,9 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 
@@ -36,6 +49,8 @@ SCHEMA_VERSION = "v1"
 # occurs exactly once in a document.
 _ROWS_LINE = '\n  "rows": []'
 _INFINITY_TO_NULL = {"Infinity": "null", "-Infinity": "null"}
+# Tables with at least this many rows render their upper half in a forked child.
+SPLIT_ROWS = 2**16
 
 
 @dataclass
@@ -58,10 +73,71 @@ class Table:
         return list(zip(*self.columns.values()))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _render_rows(render: Callable[[int, int], str], size: int, separator: str) -> str:
+    """``render(0, size)``, with the upper half of a large table rendered in a forked child.
+
+    ``render(lo, hi)`` returns the text of rows ``[lo, hi)`` joined by
+    ``separator``, so joining the two halves' texts by it gives the serial text.
+    """
+    # each half needs a row: a one-row table renders serially at any threshold
+    if size < max(SPLIT_ROWS, 2) or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return render(0, size)
+    half = size // 2
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # numpy's BLAS thread pool makes this process multi-threaded, and
+            # Python >= 3.12 warns on fork() then.  The child is safe: it only
+            # formats Python objects it already holds, writes one pipe and
+            # leaves by os._exit, touching no lock another thread may hold.
+            warnings.filterwarnings(
+                "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return render(0, size)
+    if pid == 0:
+        # the child: no stdio flush and no atexit handler, whatever happens
+        code = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(render(half, size).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    try:
+        # on an exception the read end closes first, so a child still
+        # writing fails at once and exits, and waitpid returns
+        with open(read_end, "rb") as pipe:
+            lower = render(0, half)
+            upper = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        return separator.join((lower, render(half, size)))
+    return separator.join((lower, upper.decode()))
+
+
 def render_csv(table: Table) -> str:
-    cells = [map(str, column) for column in table.columns.values()]
+    columns = list(table.columns.values())
+
+    def render(lo: int, hi: int) -> str:
+        return "\n".join(map(",".join, zip(*[map(str, column[lo:hi]) for column in columns])))
+
     lines = [f"#schema={SCHEMA_VERSION}", ",".join(table.columns)]
-    lines.extend(map(",".join, zip(*cells)))
+    size = len(columns[0])
+    if size:
+        lines.append(_render_rows(render, size, "\n"))
     lines.extend(f"#{key}={value}" for key, value in table.annotations.items())
     return "\n".join(lines) + "\n"
 
@@ -100,13 +176,19 @@ def render_json(table: Table) -> str:
     if table.annotations:
         document["annotations"] = _jsonable(table.annotations)
     head, _, tail = json.dumps(document, indent=2, allow_nan=False).partition(_ROWS_LINE)
-    if not next(iter(table.columns.values())):
+    columns = list(table.columns.values())
+    size = len(columns[0])
+    if not size:
         return head + _ROWS_LINE + tail + "\n"
     fields = ",\n".join(
         f"      {json.dumps(column).replace('%', '%%')}: %s" for column in table.columns
     )
     template = "    {\n" + fields + "\n    }"
-    rows = ",\n".join(map(template.__mod__, zip(*map(_json_cells, table.columns.values()))))
+
+    def render(lo: int, hi: int) -> str:
+        return ",\n".join(map(template.__mod__, zip(*[_json_cells(column[lo:hi]) for column in columns])))
+
+    rows = _render_rows(render, size, ",\n")
     return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
 
 

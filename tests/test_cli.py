@@ -337,7 +337,22 @@ def test_cv_rejects_nan_grid_point(runner, tmp_path):
         ["cv", "--wavefunction", str(path), "--region", "0:0.25", "--n", "100", "--eps", "0.05"],
     )
     assert result.exit_code == 2
-    assert "not uniform" in result.output
+    assert "grid coordinates must be finite" in result.output
+
+
+@pytest.mark.parametrize("line", [1, -1])
+def test_cv_rejects_nan_first_or_last_grid_point(runner, tmp_path, line):
+    path = tmp_path / "psi.csv"
+    write_box_csv(path)
+    lines = path.read_text().splitlines()
+    lines[line] = "nan" + lines[line][lines[line].index(","):]
+    path.write_text("\n".join(lines) + "\n")
+    result = invoke(
+        runner,
+        ["cv", "--wavefunction", str(path), "--region", "0:0.25", "--n", "100", "--eps", "0.05"],
+    )
+    assert result.exit_code == 2
+    assert "grid coordinates must be finite" in result.output
 
 
 def run_cli(*args):

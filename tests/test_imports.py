@@ -8,10 +8,16 @@ A definition has a user when the package outside ``__init__`` reads its name
 (as an identifier or an attribute) somewhere outside the definition itself,
 or when ``README.md`` or ``bench/tracer.py`` mention it.  Dunder methods and
 click commands are exempt: Python and click call them.
+
+Importing ``freqborn.cli`` in a fresh interpreter loads no process-pool
+module: the benchmark's ``setup_s`` times that import.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -84,3 +90,15 @@ def test_every_definition_is_used_outside_itself():
             if used[name] <= references(node)[name] and name not in words:
                 unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+def test_cli_import_loads_no_process_pool_module():
+    modules = ("multiprocessing", "concurrent.futures", "subprocess")
+    code = f"import sys, freqborn.cli; print([m for m in {modules!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "[]\n"

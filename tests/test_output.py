@@ -1,14 +1,17 @@
-"""The columnar renderers print exactly the bytes of the row-wise reference."""
+"""The columnar renderers print exactly the bytes of the row-wise reference, also with
+the rows of a table split over two processes."""
 
 import json
 import math
 import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqborn import __version__ as VERSION
+from freqborn import output
 from freqborn.output import SCHEMA_VERSION, Table, render_csv, render_json, write_text
 
 
@@ -59,14 +62,25 @@ def tables(draw, cells=CELLS):
     return Table(dict(zip(columns, data)), meta, annotations), rows
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @settings(max_examples=300, deadline=None)
-@given(tables())
-def test_renderers_match_row_wise_reference(case):
+@given(tables(), st.sampled_from([output.SPLIT_ROWS, 1, 2, 3]))
+def test_renderers_match_row_wise_reference(case, split_rows):
+    """Also with the rows split over two processes from ``split_rows`` rows on."""
     table, rows = case
     assert table.rows == rows
     columns = list(table.columns)
-    assert render_csv(table) == reference_csv(columns, rows, table.annotations)
-    assert render_json(table) == reference_json(columns, rows, table.meta, table.annotations)
+    with mock.patch.object(output, "_usable_cpus", lambda: 2), mock.patch.object(
+        output, "SPLIT_ROWS", split_rows
+    ):
+        csv_text, json_text = render_csv(table), render_json(table)
+    assert_no_child_left()
+    assert csv_text == reference_csv(columns, rows, table.annotations)
+    assert json_text == reference_json(columns, rows, table.meta, table.annotations)
 
 
 @settings(max_examples=50, deadline=None)
@@ -96,3 +110,99 @@ def test_failed_rename_keeps_the_old_file_and_removes_the_temp_file(tmp_path, mo
         write_text("new\n", str(target))
     assert target.read_text() == "old\n"
     assert [path.name for path in tmp_path.iterdir()] == ["doc.csv"]
+
+
+# --- rows rendered in two processes -----------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Lets a table of 2+ rows split on any host, and counts the forks."""
+    calls = []
+    fork = os.fork
+
+    def counted_fork():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(output, "SPLIT_ROWS", 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return calls
+
+
+def float_table(size, nan_at=None):
+    weights = [i / 7 for i in range(size)]
+    if nan_at is not None:
+        weights[nan_at] = math.nan
+    return Table({"n": range(size), "weight": weights, "label": [f"r{i}" for i in range(size)]}, {"N": size})
+
+
+def serial(render, table):
+    with mock.patch.object(output, "SPLIT_ROWS", math.inf):
+        return render(table)
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+@pytest.mark.parametrize("size", [2, 3, 4])
+def test_split_starts_at_the_threshold(forks, monkeypatch, render, size):
+    monkeypatch.setattr(output, "SPLIT_ROWS", 3)
+    table = float_table(size)
+    assert render(table) == serial(render, table)
+    assert len(forks) == (size >= 3)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_default_threshold_splits_a_large_table(monkeypatch, render):
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    table = float_table(output.SPLIT_ROWS + 1)
+    assert render(table) == serial(render, table)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("nan_at", [0, 2, 5])
+def test_nan_cell_in_either_half_raises_the_serial_error(forks, nan_at):
+    table = float_table(6, nan_at)
+    with pytest.raises(ValueError) as expected:
+        serial(render_json, table)
+    forks.clear()
+    with pytest.raises(ValueError) as raised:
+        render_json(table)
+    assert len(forks) == 1
+    assert str(raised.value) == str(expected.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_failed_fork_renders_the_same_bytes(forks, monkeypatch, render):
+    def failing_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    table = float_table(6)
+    assert render(table) == serial(render, table)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("render", [render_csv, render_json])
+def test_one_usable_cpu_renders_serially(monkeypatch, render):
+    monkeypatch.setattr(output, "SPLIT_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+    table = float_table(6)
+    assert render(table) == serial(render, table)
+
+
+class Interrupting:
+    def __str__(self):
+        raise KeyboardInterrupt
+
+
+def test_interrupt_while_rendering_reaps_the_child(forks):
+    table = float_table(6)
+    table.columns["weight"][0] = Interrupting()
+    with pytest.raises(KeyboardInterrupt):
+        render_csv(table)
+    assert len(forks) == 1
+    assert_no_child_left()
