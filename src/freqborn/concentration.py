@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_weights
-from .errors import check_eps, unit_mass
+from .errors import check_eps, check_whole, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 _LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
@@ -59,6 +59,7 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     if not 0.0 <= a_sq <= 1.0:
         raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
     check_eps(eps)
+    num_copies = check_whole(num_copies, "num_copies")
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     # left-to-right division keeps round cases like (0.5, 100, 0.1) -> 0.25 exact
@@ -113,7 +114,7 @@ def convergence_scan(
     state: SingleCopyState, eps: float, copy_counts: Sequence[int]
 ) -> tuple[WindowMass, ...]:
     """Windows at r0 = |a|^2, one per N of a strictly increasing list, in order."""
-    counts = [int(n) for n in copy_counts]
+    counts = [check_whole(n, "num_copies") for n in copy_counts]
     if not counts:
         raise ValueError("need at least one copy count")
     if any(b <= a for a, b in zip(counts, counts[1:])):

@@ -9,6 +9,7 @@ decomposition.  Half-open intervals make region membership a partition.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -17,7 +18,7 @@ import numpy as np
 
 from .decomposition import MomentReport, SingleCopyState, frequency_moments_over, two_level_weights
 from .concentration import WindowMass, window_masses_over
-from .errors import check_eps, unit_mass
+from .errors import NormalizationError, check_eps, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
 UNIFORM_SPACING_RTOL = 1e-9
@@ -25,6 +26,8 @@ UNIFORM_SPACING_RTOL = 1e-9
 
 class GridWavefunction:
     """Complex samples psi(x_k) on the uniform grid x_k = origin + k * spacing.
+
+    ``origin`` must be finite and ``spacing`` positive and finite.
 
     The left-point Riemann mass sum(density) * spacing, ``density`` being the
     read-only |psi(x_k)|^2, must be 1 within 1e-6, checked by
@@ -42,9 +45,11 @@ class GridWavefunction:
         samples: Sequence[complex],
         renormalize: bool = False,
     ):
-        spacing = float(spacing)
-        if not spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {spacing!r}")
+        origin, spacing = float(origin), float(spacing)
+        if not math.isfinite(origin):
+            raise ValueError(f"origin must be finite, got {origin!r}")
+        if not 0.0 < spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {spacing!r}")
         values = np.array(samples, dtype=np.complex128)
         if values.ndim != 1 or values.shape[0] == 0:
             raise ValueError("need a one-dimensional, nonempty sample vector")
@@ -53,7 +58,7 @@ class GridWavefunction:
         values, density = unit_mass(values, spacing, GRID_NORM_TOLERANCE, renormalize, "grid mass")
         values.setflags(write=False)
         density.setflags(write=False)
-        self.origin = float(origin)
+        self.origin = origin
         self.spacing = spacing
         self.samples = values
         self.density = density
@@ -111,7 +116,8 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
 
     Rows whose first cell starts with ``#`` and blank rows are skipped, and
     every cell is read with ``float()``.  The grid coordinates must be finite
-    and uniformly spaced within 1e-9 relative tolerance.
+    and uniformly spaced within 1e-9 relative tolerance.  Finite coordinates
+    whose span overflows the float range raise ``NormalizationError``.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -138,6 +144,9 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
     spacing = (float(x[-1]) - float(x[0])) / (len(x) - 1)
     if not spacing > 0.0:
         raise ValueError(f"{path}: grid is not increasing")
+    if spacing == math.inf:
+        # a mass failure, not a bad argument: each cell of the finite grid is infinitely wide
+        raise NormalizationError(f"{path}: the grid span overflows, so the total grid mass is inf")
     if not np.max(np.abs(np.diff(x) - spacing)) <= UNIFORM_SPACING_RTOL * spacing:
         raise ValueError(f"{path}: grid spacing is not uniform within {UNIFORM_SPACING_RTOL} relative")
     samples = data[:, 1] + 1j * data[:, 2]

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import LOG_ZERO, occupancy_log_weights
-from .errors import check_capacity, unit_mass
+from .errors import check_capacity, check_whole, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
@@ -139,6 +139,7 @@ class FrequencyDecomposition:
 
     def level_counts(self, level: int) -> np.ndarray:
         """Copy counts of one level across all sectors."""
+        level = check_whole(level, "level")
         if not 0 <= level < self.num_levels:
             raise ValueError(f"level {level} out of range for {self.num_levels} levels")
         return self.counts[:, level]
@@ -187,8 +188,11 @@ def _check_two_level(state: SingleCopyState) -> None:
 
 
 def _check_size(state: SingleCopyState, num_copies: int) -> int:
-    """N as an int, checked positive and within ``MAX_DECOMPOSITION_BYTES`` for the dense layout."""
-    num_copies = int(num_copies)
+    """N as an int, checked whole, positive, and within ``MAX_DECOMPOSITION_BYTES`` for the ``(R, M)`` layout.
+
+    Every route that returns a decomposition or its weights enters here.
+    """
+    num_copies = check_whole(num_copies, "num_copies")
     if num_copies < 1:
         raise ValueError(f"num_copies must be positive, got {num_copies}")
     m = state.num_levels
@@ -209,8 +213,8 @@ def compositions(total: int, parts: int) -> np.ndarray:
     level takes what is left.  The owner indices are then composed backward
     to gather every earlier level's column in row order.
     """
-    total = int(total)
-    parts = int(parts)
+    total = check_whole(total, "total")
+    parts = check_whole(parts, "parts")
     if total < 0 or parts < 1:
         raise ValueError(f"need total >= 0 and parts >= 1, got ({total}, {parts})")
     left = np.array([total], dtype=np.int64)
@@ -288,10 +292,9 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
     its sector in sequence order, so every sum rounds like the plain loop's.
     A sequence's sector is its occupation code, the counts as base-(N + 1)
     digits with level 0 most significant, so sorted codes are sorted sectors.
+    N passes the closed-form byte budget, then ``MAX_BRUTE_FORCE_SEQUENCES`` on M^N.
     """
-    num_copies = int(num_copies)
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
+    num_copies = _check_size(state, num_copies)
     m = state.num_levels
     sequences = m**num_copies
     check_capacity(sequences, MAX_BRUTE_FORCE_SEQUENCES, "brute-force enumeration", "sequences")

@@ -1,4 +1,4 @@
-"""Exception types and the capacity, eps and unit-mass gates shared across the package."""
+"""Exception types and the capacity, eps, whole-number and unit-mass gates shared across the package."""
 
 from __future__ import annotations
 
@@ -35,6 +35,20 @@ def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
 def check_eps(eps: float) -> None:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+
+
+def check_whole(value, what: str) -> int:
+    """``value`` as an int, or a ValueError naming ``what`` unless it is a whole number.
+
+    Whole floats such as ``1e6`` and numpy integers pass; 10.5, nan and inf do not.
+    """
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return whole
 
 
 def unit_mass(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .concentration import WindowMass, window_masses_over
 from .decomposition import SingleCopyState, two_level_weights
-from .errors import check_eps
+from .errors import check_eps, check_whole
 
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
@@ -21,7 +21,7 @@ def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np
 
 
 def check_observed_count(observed_count: int, num_measurements: int) -> int:
-    observed_count = int(observed_count)
+    observed_count = check_whole(observed_count, "observed_count")
     if not 0 <= observed_count <= num_measurements:
         raise ValueError(f"observed_count={observed_count} out of range 0..{num_measurements}")
     return observed_count

@@ -7,31 +7,30 @@ rename).
 
 Tables are columnar: ``Table.columns`` maps each column name, in document
 order, to its cells, as a list (typically from ``ndarray.tolist()``) or a
-``range``.  Both renderers read the names from the keys and format each
-value, a whole column, with one C-level call (``map(str, ...)`` for CSV, one
-``json.dumps`` for JSON), then zip the formatted columns into lines, so no
-Python statement runs per row.  A JSON row is one ``%`` template built once
-from the JSON-encoded column names; it reproduces exactly what
-``json.dumps(..., indent=2)`` prints for the row-dict layout, so the bytes
-are those of the row-wise renderer.  ``Table.rows`` transposes back to row
-tuples only for callers that count rows from outside the package; nothing in
-the package reads it.
+``range``.  ``Table.rows`` transposes back to row tuples only for callers that
+count rows from outside the package; nothing in the package reads it.
 
-Each renderer builds its row text through one ``render(lo, hi)`` over a row
-range.  A table of at least ``SPLIT_ROWS`` rows is formatted in two
-processes: a forked child renders the upper half and writes it, UTF-8
-encoded, to a pipe, while this process renders the lower half, then reads
-the pipe to EOF and joins the halves.  The bytes are those of the serial
-``render(0, size)``.  The child is reaped on every path, an exception or an
-interrupt included.  The serial call runs instead below ``SPLIT_ROWS`` rows,
+There is one row pipeline, ``render(parts)`` in ``_render_rows``: each column
+is formatted with one C-level call (``map(str, ...)`` for CSV, one
+``json.dumps`` for JSON), the formatted columns are zipped into rows, and
+each row becomes a line (``",".join``, or a JSON ``%`` template built once
+from the encoded column names, which reproduces what ``json.dumps(...,
+indent=2)`` prints for the row-dict layout), so no Python statement runs per
+row.  The serial path renders the columns as held.  A table of at least
+``SPLIT_ROWS`` rows is formatted in two processes: a forked child renders the
+``[half:]`` slices into a pipe, UTF-8 encoded, while this process renders the
+``[:half]`` slices, then reads the pipe to EOF and joins the halves, with the
+serial bytes.  The child is reaped on every path, an exception or an
+interrupt included.  The serial path runs instead below ``SPLIT_ROWS`` rows,
 where ``os.fork`` is missing, where the process may use only one CPU, and
-where the fork fails.  If the child exits nonzero (a NaN JSON cell, say),
-this process renders the upper half itself, so it raises what the serial
-path raises.
+where the fork fails.  If the child exits nonzero (a NaN JSON cell, say), this
+process renders the upper half itself, so it raises what the serial path
+raises.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -73,21 +72,26 @@ class Table:
         return list(zip(*self.columns.values()))
 
 
+# One CPU renders serially: there a fork only adds the child's work (BENCH_15.json `one_cpu`).
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _render_rows(render: Callable[[int, int], str], size: int, separator: str) -> str:
-    """``render(0, size)``, with the upper half of a large table rendered in a forked child.
+def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separator: str) -> str:
+    """``row`` of each row's cell texts, ``cells`` of each column, joined by ``separator``.
 
-    ``render(lo, hi)`` returns the text of rows ``[lo, hi)`` joined by
-    ``separator``, so joining the two halves' texts by it gives the serial text.
+    A large table joins ``render`` of its ``[:half]`` and ``[half:]`` slices, the upper in a child.
     """
+
+    def render(parts: Sequence[Sequence]) -> str:
+        return separator.join(map(row, zip(*map(cells, parts))))
+
+    size = len(columns[0])
     # each half needs a row: a one-row table renders serially at any threshold
     if size < max(SPLIT_ROWS, 2) or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return render(0, size)
+        return render(columns)
     half = size // 2
     read_end, write_end = os.pipe()
     try:
@@ -103,14 +107,14 @@ def _render_rows(render: Callable[[int, int], str], size: int, separator: str) -
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return render(0, size)
+        return render(columns)
     if pid == 0:
         # the child: no stdio flush and no atexit handler, whatever happens
         code = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(render(half, size).encode())
+                pipe.write(render([column[half:] for column in columns]).encode())
             code = 0
         finally:
             os._exit(code)
@@ -119,25 +123,20 @@ def _render_rows(render: Callable[[int, int], str], size: int, separator: str) -
         # on an exception the read end closes first, so a child still
         # writing fails at once and exits, and waitpid returns
         with open(read_end, "rb") as pipe:
-            lower = render(0, half)
+            lower = render([column[:half] for column in columns])
             upper = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
     if status != 0:
-        return separator.join((lower, render(half, size)))
+        return separator.join((lower, render([column[half:] for column in columns])))
     return separator.join((lower, upper.decode()))
 
 
 def render_csv(table: Table) -> str:
     columns = list(table.columns.values())
-
-    def render(lo: int, hi: int) -> str:
-        return "\n".join(map(",".join, zip(*[map(str, column[lo:hi]) for column in columns])))
-
     lines = [f"#schema={SCHEMA_VERSION}", ",".join(table.columns)]
-    size = len(columns[0])
-    if size:
-        lines.append(_render_rows(render, size, "\n"))
+    if len(columns[0]):
+        lines.append(_render_rows(columns, functools.partial(map, str), ",".join, "\n"))
     lines.extend(f"#{key}={value}" for key, value in table.annotations.items())
     return "\n".join(lines) + "\n"
 
@@ -151,7 +150,7 @@ def _jsonable(scalars: dict[str, Any]) -> dict[str, Any]:
 
 
 def _json_cells(column: Sequence) -> list[str]:
-    """Each cell of ``column`` as JSON text, from one C-encoder call.
+    """Each cell of ``column`` as JSON text, from one C-encoder call on one copy (for ``range``).
 
     No encoded value holds a raw newline, so "\n" as item separator splits
     the array exactly.  A non-finite float encodes as a bare ``Infinity``,
@@ -177,18 +176,13 @@ def render_json(table: Table) -> str:
         document["annotations"] = _jsonable(table.annotations)
     head, _, tail = json.dumps(document, indent=2, allow_nan=False).partition(_ROWS_LINE)
     columns = list(table.columns.values())
-    size = len(columns[0])
-    if not size:
+    if not len(columns[0]):
         return head + _ROWS_LINE + tail + "\n"
     fields = ",\n".join(
         f"      {json.dumps(column).replace('%', '%%')}: %s" for column in table.columns
     )
     template = "    {\n" + fields + "\n    }"
-
-    def render(lo: int, hi: int) -> str:
-        return ",\n".join(map(template.__mod__, zip(*[_json_cells(column[lo:hi]) for column in columns])))
-
-    rows = _render_rows(render, size, ",\n")
+    rows = _render_rows(columns, _json_cells, template.__mod__, ",\n")
     return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
 
 

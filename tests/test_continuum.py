@@ -57,6 +57,23 @@ def test_wavefunction_validates_inputs():
         GridWavefunction(0.0, 0.5, [1.0, complex(0.0, float("inf"))], renormalize=True)
 
 
+@pytest.mark.parametrize(
+    "origin,spacing,message",
+    [
+        (math.nan, 0.5, "^origin must be finite, got nan$"),
+        (-math.inf, 0.5, "^origin must be finite, got -inf$"),
+        (math.inf, 0.5, "^origin must be finite, got inf$"),
+        (0.0, math.inf, "^spacing must be positive and finite, got inf$"),
+        (0.0, math.nan, "^spacing must be positive and finite, got nan$"),
+    ],
+)
+def test_wavefunction_rejects_non_finite_origin_or_spacing(origin, spacing, message):
+    # a bad argument, not a mass failure: no NormalizationError, and no region mass read off it
+    with pytest.raises(ValueError, match=message) as raised:
+        GridWavefunction(origin, spacing, [1.0, 1.0])
+    assert type(raised.value) is ValueError
+
+
 # --- Region -----------------------------------------------------------------------
 
 

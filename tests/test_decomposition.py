@@ -20,8 +20,12 @@ from freqborn.decomposition import (
     decompose_two_level,
     frequency_moments,
     total_mass,
+    two_level_weights,
 )
+from freqborn import decomposition
+from freqborn.concentration import chebyshev_bound, convergence_scan, window_masses
 from freqborn.errors import CapacityError, NormalizationError
+from freqborn.finite_run import check_observed_count
 
 
 # --- SingleCopyState --------------------------------------------------------
@@ -235,6 +239,18 @@ def test_brute_force_capacity_guard():
         brute_force_decompose(SingleCopyState.from_alpha_probability(0.5), 25)
 
 
+def test_brute_force_shares_the_decomposition_byte_budget(monkeypatch):
+    # N = 1 at M levels needs 8 (M + 1) M bytes, far below the sequence guard's M^N
+    state = SingleCopyState.from_probabilities([0.25] * 4)
+    monkeypatch.setattr(decomposition, "MAX_DECOMPOSITION_BYTES", 8 * 5 * 4 - 1)
+    with pytest.raises(CapacityError) as closed:
+        decompose_multilevel(state, 1)
+    with pytest.raises(CapacityError) as oracle:
+        brute_force_decompose(state, 1)
+    assert str(oracle.value) == str(closed.value)
+    assert str(oracle.value) == "decomposition needs 160 bytes, above the limit of 159 bytes"
+
+
 def reference_brute_force(amplitudes, copies):
     # one sequence at a time in itertools.product order, one Python complex
     # product and one float sum per sequence: the plain loop the oracle's
@@ -443,6 +459,45 @@ def test_marginalizing_multilevel_reproduces_two_level():
     )
     reduced = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), copies)
     assert np.max(np.abs(marginal - np.exp(reduced.log_weights))) <= 1e-10
+
+
+# --- whole numbers ---------------------------------------------------------------
+
+TWO = SingleCopyState.from_alpha_probability(0.3)
+THREE = SingleCopyState.from_probabilities([0.2, 0.3, 0.5])
+SMALL = decompose_two_level(TWO, 10)
+WHOLE_NUMBER_ROUTES = {
+    "decompose_two_level": lambda v: decompose_two_level(TWO, v),
+    "decompose_multilevel": lambda v: decompose_multilevel(THREE, v),
+    "two_level_weights": lambda v: two_level_weights(TWO, v),
+    "brute_force_decompose": lambda v: brute_force_decompose(TWO, v),
+    "compositions_total": lambda v: compositions(v, 2),
+    "compositions_parts": lambda v: compositions(3, v),
+    "chebyshev_bound": lambda v: chebyshev_bound(0.3, v, 0.1),
+    "convergence_scan": lambda v: convergence_scan(TWO, 0.1, [v]),
+    "check_observed_count": lambda v: check_observed_count(v, 10),
+    "level_counts": lambda v: SMALL.level_counts(v),
+    "window_masses": lambda v: window_masses(SMALL, v, 0.3, 0.1),
+    "frequency_moments": lambda v: frequency_moments(SMALL, v),
+}
+
+
+@pytest.mark.parametrize("value", [10.5, math.nan, math.inf, 0.5])
+@pytest.mark.parametrize("route", sorted(WHOLE_NUMBER_ROUTES))
+def test_counts_must_be_whole_numbers(route, value):
+    with pytest.raises(ValueError, match=f"must be a whole number, got {value!r}$"):
+        WHOLE_NUMBER_ROUTES[route](value)
+
+
+def test_whole_floats_and_numpy_ints_count_like_ints():
+    assert np.array_equal(decompose_two_level(TWO, 10.0).log_weights, SMALL.log_weights)
+    three = decompose_multilevel(THREE, 6).log_weights
+    assert np.array_equal(decompose_multilevel(THREE, np.int64(6)).log_weights, three)
+    assert chebyshev_bound(0.3, 1e6, 0.1) == chebyshev_bound(0.3, 10**6, 0.1)
+    assert convergence_scan(TWO, 0.1, [np.int64(10), 20.0]) == convergence_scan(TWO, 0.1, [10, 20])
+    assert check_observed_count(np.int64(3), 10) == 3
+    assert np.array_equal(SMALL.level_counts(np.int64(1)), SMALL.level_counts(1))
+    assert compositions(3.0, np.int32(2)).tolist() == compositions(3, 2).tolist()
 
 
 # --- container behaviour --------------------------------------------------------

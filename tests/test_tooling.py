@@ -1,5 +1,7 @@
-"""The tier-1 pytest settings report a failing hypothesis test as a failure."""
+"""The tier-1 pytest settings report a failing hypothesis test as a failure, and the
+benchmark checker's own tests pass."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,3 +33,18 @@ def test_failing_given_test_is_reported_without_internal_error(tmp_path):
     assert "INTERNALERROR" not in output
     assert "1 failed" in output
     assert result.returncode == 1
+
+
+def test_benchmark_checker_suite_passes():
+    # a change that makes the document checker reject a document fails here, not first in a benchmark run
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
