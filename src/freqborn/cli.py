@@ -1,7 +1,11 @@
 """Command-line surface: every analysis emitted as a reproducible CSV/JSON document.
 
 Exit codes: 0 success, 2 usage error, 3 capacity error, 4 numerical-contract
-violation.  Identical invocations produce byte-identical documents.
+violation.  Identical invocations produce byte-identical documents.  Across
+CPUs, every sum is exactly rounded and prints the same bits on any SIMD path
+or BLAS core; the kernel's ``exp`` and ``log`` follow numpy's SIMD loops, so
+tail weights, and the documents that print or sum them, are byte-identical
+only on the same CPU class.
 """
 
 from __future__ import annotations

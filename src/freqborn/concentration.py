@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_weights
-from .errors import check_eps, check_whole, unit_mass
+from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_band
+from .errors import check_eps, check_whole, exact_sum, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 _LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
@@ -82,7 +82,8 @@ def window_masses_over(
     Strictly below r0 - eps, strictly above r0 + eps, closed window between,
     classified in integer count space against exact decimal edges (see
     :class:`WindowMass`); ``eps = inf`` keeps every sector inside.  The
-    attached bound uses the level probability ``prob``.
+    attached bound uses the level probability ``prob``.  Each mass is an
+    exactly rounded sum, so counts of weight 0.0 may be left out.
     """
     check_eps(eps)
     if not math.isfinite(r0):
@@ -95,9 +96,9 @@ def window_masses_over(
     return WindowMass(
         r0=float(r0),
         eps=float(eps),
-        mass_below=float(weights[below].sum()),
-        mass_inside=float(weights[~(below | above)].sum()),
-        mass_above=float(weights[above].sum()),
+        mass_below=exact_sum(weights[below]),
+        mass_inside=exact_sum(weights[~(below | above)]),
+        mass_above=exact_sum(weights[above]),
         chebyshev_bound=chebyshev_bound(prob, num_copies, eps),
     )
 
@@ -121,8 +122,11 @@ def convergence_scan(
         raise ValueError(f"copy counts must be strictly increasing, got {counts}")
     check_eps(eps)
     a_sq = float(state.level_probs[0])
-    weights = (two_level_weights(state, n) for n in counts)
-    return tuple(window_masses_over(np.arange(w.size), w, w.size - 1, a_sq, a_sq, eps) for w in weights)
+    windows = []
+    for n in counts:
+        first, band = two_level_band(state, n)
+        windows.append(window_masses_over(np.arange(first, first + band.size), band, n, a_sq, a_sq, eps))
+    return tuple(windows)
 
 
 def check_localization(
@@ -161,5 +165,5 @@ def check_localization(
     cumulative = np.cumsum(masses)
     q0 = float(qs[np.searchsorted(cumulative, 0.5 * cumulative[-1])])
     lower, upper = map(float, _decimal_edges(q0, eps))
-    outside = float(masses[(qs < lower) | (qs > upper)].sum())
+    outside = exact_sum(masses[(qs < lower) | (qs > upper)])
     return LocalizationVerdict(outside <= mass_tolerance, q0, outside)

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import MomentReport, SingleCopyState, frequency_moments_over, two_level_weights
+from .decomposition import MomentReport, SingleCopyState, frequency_moments_over, two_level_band
 from .concentration import WindowMass, window_masses_over
-from .errors import NormalizationError, check_eps, unit_mass
+from .errors import NormalizationError, check_eps, exact_sum, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
 UNIFORM_SPACING_RTOL = 1e-9
@@ -160,7 +160,7 @@ def region_probability(psi: GridWavefunction, region: Region) -> float:
     grid normalization error.
     """
     mask = region.membership(psi.grid())
-    mass = float(psi.density[mask].sum() * psi.spacing)
+    mass = exact_sum(psi.density[mask]) * psi.spacing
     return min(max(mass, 0.0), 1.0)
 
 
@@ -170,11 +170,11 @@ def region_frequency_analysis(
     """Full pipeline: region mass, effective two-level expansion, diagnostics.
 
     Returns the frequency moments of the inside-count and the window masses
-    around r0 = region probability.
+    around r0 = region probability, both reduced over the two-level band only.
     """
     check_eps(eps)
     a_sq = region_probability(psi, region)
     state = SingleCopyState.from_alpha_probability(a_sq)
-    weights = two_level_weights(state, num_copies)
-    level = (np.arange(weights.size), weights, weights.size - 1, float(state.level_probs[0]))
+    first, band = two_level_band(state, num_copies)
+    level = (np.arange(first, first + band.size), band, int(num_copies), float(state.level_probs[0]))
     return frequency_moments_over(*level), window_masses_over(*level, a_sq, eps)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import LOG_ZERO, occupancy_log_weights
-from .errors import check_capacity, check_whole, unit_mass
+from .errors import check_capacity, check_whole, exact_sum, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
@@ -155,13 +155,15 @@ def decompose_two_level(state: SingleCopyState, num_copies: int) -> FrequencyDec
     return decompose_multilevel(state, num_copies)
 
 
-def two_level_weights(state: SingleCopyState, num_copies: int) -> np.ndarray:
-    """``np.exp(decompose_two_level(state, N).log_weights)`` bit for bit, read-only, same guards.
+def two_level_band(state: SingleCopyState, num_copies: int) -> tuple[int, np.ndarray]:
+    """The first count and the read-only weights of the band of nonzero two-level weights.
 
-    The kernel runs only on a window of counts around the mode floor((N + 1) p), doubled until
-    each end is 0 or N or has weight 0.0.  The float weight falls monotonically away from the
-    mode, so every count outside the window has weight 0.0 too: the window covers the band of
-    nonzero weights, and the rest are the zeros the dense path gives.
+    ``band`` equals ``np.exp(decompose_two_level(state, N).log_weights)[first : first + band.size]``
+    bit for bit under the same guards, and every weight outside it is 0.0 there.  The kernel runs
+    only on a window of counts around the mode floor((N + 1) p), doubled until each end is 0 or N
+    or has weight 0.0.  The float weight falls monotonically away from the mode, so the window
+    covers the band.  An exactly rounded sum ignores zeros, so a reduction over the band prints
+    the bits of the same reduction over all N + 1 counts, in O(sqrt N) time and memory.
     """
     _check_two_level(state)
     total = _check_size(state, num_copies)
@@ -176,10 +178,8 @@ def two_level_weights(state: SingleCopyState, num_copies: int) -> np.ndarray:
         if (lo == 0 or band[0] == 0.0) and (hi == total or band[-1] == 0.0):
             break
         half *= 2
-    weights = np.zeros(total + 1)
-    weights[lo : hi + 1] = band
-    weights.setflags(write=False)
-    return weights
+    band.setflags(write=False)
+    return lo, band
 
 
 def _check_two_level(state: SingleCopyState) -> None:
@@ -251,12 +251,8 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
 
 
 def total_mass(decomp: FrequencyDecomposition) -> float:
-    """Sum of the linear sector weights; 1 within 1e-10 for valid states.
-
-    Every weight is at most 1, so the plain sum neither overflows nor loses
-    more than a max-shifted log-sum-exp would.
-    """
-    return float(np.sum(np.exp(decomp.log_weights)))
+    """Exactly rounded sum of the linear sector weights; 1 within 1e-10 for valid states."""
+    return exact_sum(np.exp(decomp.log_weights))
 
 
 def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentReport:
@@ -269,11 +265,13 @@ def frequency_moments_over(counts: np.ndarray, weights: np.ndarray, num_copies: 
     """Mean and variance of the frequency ``counts / N`` under the linear ``weights``.
 
     The variance is taken about the level probability p, and the report
-    carries the closed-form prediction p(1-p)/N alongside.
+    carries the closed-form prediction p(1-p)/N alongside.  Each moment is
+    the exactly rounded sum of its rounded per-sector products, so sectors
+    of weight 0.0 may be left out without moving a bit.
     """
     r = counts / np.float64(num_copies)
-    mean = float(np.dot(r, weights))
-    variance = float(np.dot((r - prob) ** 2, weights))
+    mean = exact_sum(r * weights)
+    variance = exact_sum((r - prob) ** 2 * weights)
     return MomentReport(mean, variance, prob * (1.0 - prob) / num_copies)
 
 

@@ -11,13 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 from .concentration import WindowMass, window_masses_over
-from .decomposition import SingleCopyState, two_level_weights
-from .errors import check_eps, check_whole
+from .decomposition import SingleCopyState, two_level_band
+from .errors import check_eps, check_whole, exact_sum
 
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
-    """Read-only masses of n = 0..N_inner successes in one run; the kernel runs only around the nonzero band."""
-    return two_level_weights(state, num_measurements)
+    """Read-only masses of n = 0..N_inner successes in one run: the two-level band, padded with 0.0."""
+    first, band = two_level_band(state, num_measurements)
+    masses = np.zeros(int(num_measurements) + 1)
+    masses[first : first + band.size] = band
+    masses.setflags(write=False)
+    return masses
 
 
 def check_observed_count(observed_count: int, num_measurements: int) -> int:
@@ -35,14 +39,14 @@ def outer_frequency_check(
     ``masses`` is a finite-run distribution over 0..N_inner successes.  Uses
     the two-level hit-vs-miss marginal of the full (N_inner+1)-level
     expansion, which agrees with it for single-count frequencies; the window
-    sits at r0 = masses[observed_count].
+    sits at r0 = masses[observed_count] and is reduced over the band only.
     """
     hit_probability = float(masses[check_observed_count(observed_count, masses.size - 1)])
     check_eps(eps)
     state = SingleCopyState.from_alpha_probability(hit_probability)
-    weights = two_level_weights(state, num_runs)
-    total = weights.size - 1
-    return window_masses_over(np.arange(total + 1), weights, total, hit_probability, hit_probability, eps)
+    first, band = two_level_band(state, num_runs)
+    counts = np.arange(first, first + band.size)
+    return window_masses_over(counts, band, int(num_runs), hit_probability, hit_probability, eps)
 
 
 def surprise_index(masses: np.ndarray, observed_count: int) -> float:
@@ -52,4 +56,4 @@ def surprise_index(masses: np.ndarray, observed_count: int) -> float:
     likelihood class is collectively improbable.
     """
     threshold = masses[check_observed_count(observed_count, masses.size - 1)]
-    return float(masses[masses <= threshold].sum())
+    return exact_sum(masses[masses <= threshold])

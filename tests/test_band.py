@@ -1,34 +1,42 @@
 """The banded two-level route against the dense route, bit for bit.
 
-``two_level_weights`` runs the kernel only on a window around the counts
-whose two-level weight is nonzero in floats and zero-fills the rest, so
-every reduction over its weights must see the same arrays, and print the
-same bits, as the dense ``decompose_two_level`` route.
+``two_level_band`` runs the kernel only on a window around the counts whose
+two-level weight is nonzero in floats and returns that band alone.  Every
+reduction is an exactly rounded sum, which ignores the order of its terms
+and the 0.0 weights outside the band, so a reduction over the band's counts
+and weights must print the same bits as the same reduction over all N + 1
+counts of the dense ``decompose_two_level`` route.
 """
 
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqborn import decomposition
 from freqborn.concentration import convergence_scan, window_masses, window_masses_over
+from freqborn.continuum import GridWavefunction, Region, region_frequency_analysis
 from freqborn.decomposition import (
     MAX_DECOMPOSITION_BYTES,
     SingleCopyState,
     decompose_two_level,
     frequency_moments,
     frequency_moments_over,
-    two_level_weights,
+    two_level_band,
 )
-from freqborn.errors import CapacityError
-from freqborn.finite_run import surprise_index
+from freqborn.errors import CapacityError, exact_sum
+from freqborn.finite_run import finite_run_distribution, outer_frequency_check, surprise_index
 
 # 2089/2090 straddle the N where 0.7^N underflows, so the p = 0.3 band's
 # lower edge moves off 0 there; 20/21 straddle the Stirling table edge.
 BAND_PROBS = [0.0, -0.0, 1e-320, 0.001, 0.05, 0.3, 0.5, 1.0]
 BAND_COPIES = [1, 20, 21, 2089, 2090, 10**4, 10**5, 5 * 10**6]
+LARGEST = float(np.finfo(np.float64).max)
 
 
 def bits(report) -> bytes:
@@ -41,11 +49,10 @@ def test_band_route_matches_dense_route_bitwise(prob, copies):
     state = SingleCopyState.from_alpha_probability(prob)
     dense = decompose_two_level(state, copies)
     dense_weights = np.exp(dense.log_weights)
-    band = two_level_weights(state, copies)
-    support = np.flatnonzero(band)
-    assert np.array_equal(support, np.flatnonzero(dense_weights))
-    assert band.tobytes() == dense_weights.tobytes()
-    ns = np.arange(copies + 1)
+    first, band = two_level_band(state, copies)
+    ns = np.arange(first, first + band.size)
+    assert band.tobytes() == dense_weights[ns].tobytes()
+    assert not np.any(np.delete(dense_weights, ns))
     for level, counts in enumerate((ns, copies - ns)):
         level_prob = float(state.level_probs[level])
         for eps in (0.01, 3.0 / math.sqrt(copies)):
@@ -55,8 +62,10 @@ def test_band_route_matches_dense_route_bitwise(prob, copies):
         assert bits(frequency_moments_over(counts, band, copies, level_prob)) == bits(
             frequency_moments(dense, level)
         )
-    for observed in {0, int(support[0]), int(np.argmax(band)), int(support[-1]), copies}:
-        assert surprise_index(band, observed).hex() == surprise_index(dense_weights, observed).hex()
+    masses = finite_run_distribution(state, copies)
+    assert masses.tobytes() == dense_weights.tobytes()
+    for observed in {0, first, first + int(np.argmax(band)), first + band.size - 1, copies}:
+        assert surprise_index(masses, observed).hex() == surprise_index(dense_weights, observed).hex()
 
 
 def test_scan_evaluates_the_kernel_on_the_band_only(monkeypatch):
@@ -74,10 +83,32 @@ def test_scan_evaluates_the_kernel_on_the_band_only(monkeypatch):
     assert sum(sectors) <= 0.02 * (copies + 1)
 
 
+BAND_ROUTES = {
+    "convergence_scan": lambda copies: convergence_scan(SingleCopyState.from_alpha_probability(0.3), 1e-3, [copies]),
+    "region_frequency_analysis": lambda copies: region_frequency_analysis(
+        GridWavefunction(0.0, 0.25, np.ones(4)), Region.parse("0:0.5"), copies, 1e-3
+    ),
+    "outer_frequency_check": lambda copies: outer_frequency_check(np.array([0.25, 0.5, 0.25]), copies, 1, 1e-3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BAND_ROUTES))
+def test_band_routes_allocate_no_dense_array(route):
+    # one float64 array over all 5e6 + 1 counts is 40 MB; the band is about 80,000 counts
+    tracemalloc.start()
+    try:
+        BAND_ROUTES[route](5_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_band_weights_are_read_only():
-    weights = two_level_weights(SingleCopyState.from_alpha_probability(0.3), 10)
-    with pytest.raises(ValueError):
-        weights[0] = 1.0
+    state = SingleCopyState.from_alpha_probability(0.3)
+    for weights in (two_level_band(state, 10)[1], finite_run_distribution(state, 10)):
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
 
 
 @pytest.mark.parametrize(
@@ -94,7 +125,44 @@ def test_band_weights_are_read_only():
     ],
 )
 def test_band_route_keeps_the_dense_guards(state, copies, error, message):
-    for route in (decompose_two_level, two_level_weights):
+    for route in (decompose_two_level, two_level_band):
         with pytest.raises(error) as raised:
             route(state, copies)
         assert str(raised.value) == message
+
+
+# --- the exactly rounded sum ------------------------------------------------------
+
+FINITE = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False)
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e-16, 2.0**53])
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(FINITE | EDGES, max_size=40), zeros=st.lists(st.sampled_from([0.0, -0.0]), max_size=10),
+       data=st.data())
+def test_exact_sum_is_the_rounded_rational_sum(values, zeros, data):
+    expected = float(sum(map(Fraction, values)))
+    assert exact_sum(np.array(values)).hex() == expected.hex()
+    shuffled = data.draw(st.permutations(values + zeros))
+    assert exact_sum(np.array(shuffled)).hex() == expected.hex()
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([LARGEST, LARGEST], math.inf),
+        ([-LARGEST, -LARGEST], -math.inf),
+        ([LARGEST, LARGEST, -LARGEST], LARGEST),
+        ([LARGEST, 2.0**969], LARGEST),
+        ([math.inf, LARGEST, LARGEST], math.inf),
+        ([], 0.0),
+        ([-0.0, -0.0], 0.0),
+    ],
+)
+def test_exact_sum_rounds_past_the_float_range(values, expected):
+    assert exact_sum(np.array(values)).hex() == expected.hex()
+
+
+def test_exact_sum_propagates_nan():
+    assert math.isnan(exact_sum(np.array([1.0, math.nan])))
+    assert math.isnan(exact_sum(np.array([math.inf, -math.inf, 1.0])))

@@ -87,7 +87,7 @@ def test_bad_eps_is_rejected_before_decomposing(monkeypatch, module, eps):
     def refuse(*args):
         raise AssertionError("decomposed before checking eps")
 
-    monkeypatch.setattr(module, "two_level_weights", refuse)
+    monkeypatch.setattr(module, "two_level_band", refuse)
     with pytest.raises(ValueError, match="eps"):
         WINDOW_PIPELINES[module](eps)
 
@@ -101,9 +101,9 @@ def test_window_boundary_points_count_as_inside():
     window = window_masses(decomp, 0, 0.5, 0.2)
     # lower edge 0.5-0.2 equals 3/10 as a double, so n=3 sits inside;
     # upper edge 0.5+0.2 lands just above 7/10, so n=7 sits inside too
-    assert window.mass_below == weights[:3].sum()
-    assert window.mass_inside == weights[3:8].sum()
-    assert window.mass_above == weights[8:].sum()
+    assert window.mass_below == math.fsum(weights[:3])
+    assert window.mass_inside == math.fsum(weights[3:8])
+    assert window.mass_above == math.fsum(weights[8:])
 
 
 # README cases: each edge is an exact decimal multiple of 1/N that its float
@@ -117,9 +117,9 @@ def test_window_decimal_edges_count_as_inside(r0, eps, copies, first_inside, las
     decomp = two_level(0.5, copies)
     weights = np.exp(decomp.log_weights)
     window = window_masses(decomp, 0, r0, eps)
-    assert window.mass_below == weights[:first_inside].sum()
-    assert window.mass_inside == weights[first_inside : last_inside + 1].sum()
-    assert window.mass_above == weights[last_inside + 1 :].sum()
+    assert window.mass_below == math.fsum(weights[:first_inside])
+    assert window.mass_inside == math.fsum(weights[first_inside : last_inside + 1])
+    assert window.mass_above == math.fsum(weights[last_inside + 1 :])
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,9 +140,9 @@ def test_window_classifies_counts_against_exact_decimal_edges(k, j, copies, leve
     below = np.array([f < low for f in freqs])
     above = np.array([f > high for f in freqs])
     window = window_masses(decomp, level, r0, eps)
-    assert window.mass_below == weights[below].sum()
-    assert window.mass_inside == weights[~(below | above)].sum()
-    assert window.mass_above == weights[above].sum()
+    assert window.mass_below == math.fsum(weights[below])
+    assert window.mass_inside == math.fsum(weights[~(below | above)])
+    assert window.mass_above == math.fsum(weights[above])
 
 
 def test_window_rejects_non_finite_center():

@@ -20,7 +20,7 @@ from freqborn.decomposition import (
     decompose_two_level,
     frequency_moments,
     total_mass,
-    two_level_weights,
+    two_level_band,
 )
 from freqborn import decomposition
 from freqborn.concentration import chebyshev_bound, convergence_scan, window_masses
@@ -469,7 +469,7 @@ SMALL = decompose_two_level(TWO, 10)
 WHOLE_NUMBER_ROUTES = {
     "decompose_two_level": lambda v: decompose_two_level(TWO, v),
     "decompose_multilevel": lambda v: decompose_multilevel(THREE, v),
-    "two_level_weights": lambda v: two_level_weights(TWO, v),
+    "two_level_band": lambda v: two_level_band(TWO, v),
     "brute_force_decompose": lambda v: brute_force_decompose(TWO, v),
     "compositions_total": lambda v: compositions(v, 2),
     "compositions_parts": lambda v: compositions(3, v),

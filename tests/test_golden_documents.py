@@ -8,10 +8,14 @@ change, and say so in the change log.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import freqborn
 from freqborn.cli import main
 
 THREE_LEVEL = "0.6,0.6,0.5291502622129181"
@@ -59,7 +63,7 @@ GOLDEN = {
     ),
     "scan-csv": (
         ["scan", "--a2", "0.3", "--eps", "0.05", "--ns", "10,100,1000,10000"],
-        "cd4dbd4c0e7101e4970a99a8ee3c26148b2148e65be58d6b19a384cdf77c9c9f",
+        "fadb1f8ffcefc99dbeccd5c99bceba707696b658ba244349ace4372666119f14",
     ),
     "bound-csv": (
         ["bound", "--a2", "0.3", "--n", "100", "--eps", "0.1"],
@@ -67,15 +71,15 @@ GOLDEN = {
     ),
     "cv-csv": (
         ["cv", "--wavefunction", "psi.csv", "--region", "0:0.25", "--n", "1000", "--eps", "0.05", "--renormalize"],
-        "abaf6218fe75ff515550d28c989eca7b3ef3d0de64f58a2db6df5975b1637655",
+        "406ab388ff69dfbcec4bf27805d4a83f317213873b0a9c8ac3ae9cdc7789ea05",
     ),
     "finite-run-csv": (
         ["finite-run", "--a2", "0.3", "--n-inner", "20", "--observed", "9", "--outer", "50", "--eps", "0.05"],
-        "50b205a339a1d169731901da405afd8932149afba170ffbaa0f76c18c98444d8",
+        "a878e75519e3e8652fde1607cea40fc0be7066326d5f4b36e171f1addacfd99b",
     ),
     "finite-run-json": (
         ["finite-run", "--a2", "0.3", "--n-inner", "20", "--observed", "9", "--outer", "50", "--eps", "0.05", "--format", "json"],
-        "f92de1890658f99f3d97ac14e560b89073f539ace131353644c775d7fff93dfc",
+        "4be8642367367bf90f3629493a4a0e4139cb6a4196de46b84636896036567b2e",
     ),
     "oracle-check-two-level-csv": (
         ["oracle-check", "--a2", "0.3", "--n", "10"],
@@ -105,3 +109,21 @@ def test_document_bytes_match_recorded_hash(name, tmp_path, monkeypatch):
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.stdout_bytes).hexdigest() == expected
+
+
+def test_reductions_print_the_same_bytes_under_another_blas_core(tmp_path):
+    # At N = 10**6 moments reduced by OpenBLAS ddot print mean_r ...386 and variance_r
+    # ...464e-08 on its SkylakeX core but ...385 and ...467e-08 on its Haswell core
+    # (also the one picked on AMD Zen); an exactly rounded sum prints one set of bits.
+    write_wavefunction(tmp_path / "psi.csv")
+    args = ["cv", "--wavefunction", "psi.csv", "--region", "0:0.25", "--n", "1000000", "--eps", "0.05", "--renormalize"]
+    src = os.path.dirname(os.path.dirname(freqborn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("OPENBLAS_CORETYPE", None)
+    documents = []
+    for core in (None, "Haswell"):
+        child_env = env if core is None else {**env, "OPENBLAS_CORETYPE": core}
+        child = subprocess.run([sys.executable, "-m", "freqborn.cli", *args], cwd=tmp_path, env=child_env,
+                               capture_output=True, check=True)
+        documents.append(child.stdout)
+    assert documents[0] == documents[1]
