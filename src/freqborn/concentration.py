@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_band
-from .errors import check_eps, check_whole, exact_sum, unit_mass
+from .errors import check_copies, check_eps, check_whole, exact_sum, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 _LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
@@ -59,9 +59,7 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     if not 0.0 <= a_sq <= 1.0:
         raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
     check_eps(eps)
-    num_copies = check_whole(num_copies, "num_copies")
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
+    num_copies = check_copies(num_copies)
     # left-to-right division keeps round cases like (0.5, 100, 0.1) -> 0.25 exact
     return a_sq * (1.0 - a_sq) / eps / eps / num_copies
 
@@ -69,25 +67,19 @@ def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
 def window_masses(
     decomp: FrequencyDecomposition, level: int, r0: float, eps: float
 ) -> WindowMass:
-    """Partition one level's frequency mass at the window around ``r0``, by :func:`window_masses_over`."""
-    counts, prob = decomp.level_counts(level), float(decomp.level_probs[level])
-    return window_masses_over(counts, np.exp(decomp.log_weights), decomp.num_copies, prob, r0, eps)
-
-
-def window_masses_over(
-    counts: np.ndarray, weights: np.ndarray, num_copies: int, prob: float, r0: float, eps: float
-) -> WindowMass:
-    """Partition the linear ``weights`` of level counts ``counts`` out of N at the window around ``r0``.
+    """Partition one level's frequency mass at the window around ``r0``.
 
     Strictly below r0 - eps, strictly above r0 + eps, closed window between,
     classified in integer count space against exact decimal edges (see
     :class:`WindowMass`); ``eps = inf`` keeps every sector inside.  The
-    attached bound uses the level probability ``prob``.  Each mass is an
-    exactly rounded sum, so counts of weight 0.0 may be left out.
+    attached bound uses the level probability.  Each mass is an exactly
+    rounded sum, so sectors of weight 0.0 may be left out.
     """
+    counts, prob = decomp.level_counts(level), float(decomp.level_probs[int(level)])
     check_eps(eps)
     if not math.isfinite(r0):
         raise ValueError(f"r0 must be finite, got {r0!r}")
+    num_copies, weights = decomp.num_copies, np.exp(decomp.log_weights)
     lower, upper = _decimal_edges(r0, eps)
     lo = min(max(math.ceil(num_copies * lower), 0), num_copies + 1)
     hi = min(max(math.floor(num_copies * upper), -1), num_copies)
@@ -122,11 +114,7 @@ def convergence_scan(
         raise ValueError(f"copy counts must be strictly increasing, got {counts}")
     check_eps(eps)
     a_sq = float(state.level_probs[0])
-    windows = []
-    for n in counts:
-        first, band = two_level_band(state, n)
-        windows.append(window_masses_over(np.arange(first, first + band.size), band, n, a_sq, a_sq, eps))
-    return tuple(windows)
+    return tuple(window_masses(two_level_band(state, n), 0, a_sq, eps) for n in counts)
 
 
 def check_localization(

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .decomposition import MomentReport, SingleCopyState, frequency_moments_over, two_level_band
-from .concentration import WindowMass, window_masses_over
+from .decomposition import MomentReport, SingleCopyState, frequency_moments, two_level_band
+from .concentration import WindowMass, window_masses
 from .errors import NormalizationError, check_eps, exact_sum, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
@@ -175,6 +175,5 @@ def region_frequency_analysis(
     check_eps(eps)
     a_sq = region_probability(psi, region)
     state = SingleCopyState.from_alpha_probability(a_sq)
-    first, band = two_level_band(state, num_copies)
-    level = (np.arange(first, first + band.size), band, int(num_copies), float(state.level_probs[0]))
-    return frequency_moments_over(*level), window_masses_over(*level, a_sq, eps)
+    band = two_level_band(state, num_copies)
+    return frequency_moments(band), window_masses(band, 0, a_sq, eps)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import LOG_ZERO, occupancy_log_weights
-from .errors import check_capacity, check_whole, exact_sum, unit_mass
+from .errors import check_capacity, check_copies, check_whole, exact_sum, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
@@ -105,10 +105,12 @@ class MomentReport:
 class FrequencyDecomposition:
     """Sector weights of an N-copy state, in the natural-log domain.
 
-    ``counts`` is the read-only ``(R, M)`` int64 occupation matrix, one sector
-    per row in ascending lexicographic order, and ``log_weights[k]`` is the
-    log weight of row ``k``.  At M = 2 row ``n`` is (n, N - n), so
-    ``log_weights`` is indexed by the count of level 0.
+    ``counts`` is the read-only ``(R, M)`` int64 occupation matrix, a
+    contiguous ascending run of the rows of ``compositions(N, M)``, and
+    ``log_weights[k]`` is the log weight of row ``k``.  The dense and oracle
+    routes cover every row; :func:`two_level_band` covers every row of
+    nonzero weight.  Callers index a row by its counts, ``level_counts(0)``
+    at M = 2, not by its position.
     """
 
     __slots__ = ("num_copies", "level_probs", "log_weights", "counts")
@@ -155,15 +157,16 @@ def decompose_two_level(state: SingleCopyState, num_copies: int) -> FrequencyDec
     return decompose_multilevel(state, num_copies)
 
 
-def two_level_band(state: SingleCopyState, num_copies: int) -> tuple[int, np.ndarray]:
-    """The first count and the read-only weights of the band of nonzero two-level weights.
+def two_level_band(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:
+    """The rows (n, N - n) of the two-level decomposition around every nonzero weight.
 
-    ``band`` equals ``np.exp(decompose_two_level(state, N).log_weights)[first : first + band.size]``
-    bit for bit under the same guards, and every weight outside it is 0.0 there.  The kernel runs
-    only on a window of counts around the mode floor((N + 1) p), doubled until each end is 0 or N
-    or has weight 0.0.  The float weight falls monotonically away from the mode, so the window
-    covers the band.  An exactly rounded sum ignores zeros, so a reduction over the band prints
-    the bits of the same reduction over all N + 1 counts, in O(sqrt N) time and memory.
+    The rows run over a contiguous window of counts n = first..last in ascending order, and each
+    row's counts and log weight equal the row of ``decompose_two_level(state, N)`` at that count,
+    bit for bit, under the same guards; every weight outside the window is 0.0 there.  The kernel
+    runs only on the window, which starts around the mode floor((N + 1) p) and doubles until each
+    end is 0 or N or has weight 0.0.  The float weight falls monotonically away from the mode, so
+    the window covers the band.  An exactly rounded sum ignores zeros, so a reduction over these
+    rows prints the bits of the same reduction over all N + 1, in O(sqrt N) time and memory.
     """
     _check_two_level(state)
     total = _check_size(state, num_copies)
@@ -173,13 +176,15 @@ def two_level_band(state: SingleCopyState, num_copies: int) -> tuple[int, np.nda
     half = math.ceil(40.0 * math.sqrt(total * prob * (1.0 - prob))) + 1
     while True:
         lo, hi = max(mode - half, 0), min(mode + half, total)
-        n = np.arange(lo, hi + 1)
-        band = np.exp(occupancy_log_weights(total, (n, total - n), state.level_probs))
-        if (lo == 0 or band[0] == 0.0) and (hi == total or band[-1] == 0.0):
-            break
+        levels = np.empty((2, hi - lo + 1), dtype=np.int64)
+        levels[0] = np.arange(lo, hi + 1)
+        levels[1] = total - levels[0]
+        log_weights = occupancy_log_weights(total, levels, state.level_probs)
+        ends = np.exp(log_weights[[0, -1]])
+        if (lo == 0 or ends[0] == 0.0) and (hi == total or ends[1] == 0.0):
+            # the transpose is the (R, 2) column-major layout of compositions
+            return FrequencyDecomposition(total, state.level_probs, log_weights, levels.T)
         half *= 2
-    band.setflags(write=False)
-    return lo, band
 
 
 def _check_two_level(state: SingleCopyState) -> None:
@@ -192,9 +197,7 @@ def _check_size(state: SingleCopyState, num_copies: int) -> int:
 
     Every route that returns a decomposition or its weights enters here.
     """
-    num_copies = check_whole(num_copies, "num_copies")
-    if num_copies < 1:
-        raise ValueError(f"num_copies must be positive, got {num_copies}")
+    num_copies = check_copies(num_copies)
     m = state.num_levels
     needed = 8 * (m + 1) * math.comb(num_copies + m - 1, m - 1)
     check_capacity(needed, MAX_DECOMPOSITION_BYTES, "decomposition", "bytes")
@@ -256,23 +259,19 @@ def total_mass(decomp: FrequencyDecomposition) -> float:
 
 
 def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentReport:
-    """Mean and variance of one level's relative frequency, by :func:`frequency_moments_over`."""
-    counts, prob = decomp.level_counts(level), float(decomp.level_probs[level])
-    return frequency_moments_over(counts, np.exp(decomp.log_weights), decomp.num_copies, prob)
-
-
-def frequency_moments_over(counts: np.ndarray, weights: np.ndarray, num_copies: int, prob: float) -> MomentReport:
-    """Mean and variance of the frequency ``counts / N`` under the linear ``weights``.
+    """Mean and variance of one level's relative frequency n/N.
 
     The variance is taken about the level probability p, and the report
     carries the closed-form prediction p(1-p)/N alongside.  Each moment is
     the exactly rounded sum of its rounded per-sector products, so sectors
     of weight 0.0 may be left out without moving a bit.
     """
-    r = counts / np.float64(num_copies)
+    counts, prob = decomp.level_counts(level), float(decomp.level_probs[int(level)])
+    weights = np.exp(decomp.log_weights)
+    r = counts / np.float64(decomp.num_copies)
     mean = exact_sum(r * weights)
     variance = exact_sum((r - prob) ** 2 * weights)
-    return MomentReport(mean, variance, prob * (1.0 - prob) / num_copies)
+    return MomentReport(mean, variance, prob * (1.0 - prob) / decomp.num_copies)
 
 
 def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyDecomposition:

@@ -1,4 +1,4 @@
-"""Exception types, the capacity, eps, whole-number and unit-mass gates, and the one sum, shared across the package."""
+"""Exception types, the capacity, eps, whole-number, copy-count and unit-mass gates, and the one sum, shared across the package."""
 
 from __future__ import annotations
 
@@ -77,6 +77,14 @@ def check_whole(value, what: str) -> int:
     if whole is None or whole != value:
         raise ValueError(f"{what} must be a whole number, got {value!r}")
     return whole
+
+
+def check_copies(num_copies) -> int:
+    """A copy count as an int, or a ValueError unless it is a whole number of at least 1."""
+    num_copies = check_whole(num_copies, "num_copies")
+    if num_copies < 1:
+        raise ValueError(f"num_copies must be positive, got {num_copies}")
+    return num_copies
 
 
 def unit_mass(

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concentration import WindowMass, window_masses_over
+from .concentration import WindowMass, window_masses
 from .decomposition import SingleCopyState, two_level_band
 from .errors import check_eps, check_whole, exact_sum
 
 
 def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np.ndarray:
     """Read-only masses of n = 0..N_inner successes in one run: the two-level band, padded with 0.0."""
-    first, band = two_level_band(state, num_measurements)
-    masses = np.zeros(int(num_measurements) + 1)
-    masses[first : first + band.size] = band
+    band = two_level_band(state, num_measurements)
+    first = int(band.level_counts(0)[0])
+    masses = np.zeros(band.num_copies + 1)
+    np.exp(band.log_weights, out=masses[first : first + band.num_sectors])
     masses.setflags(write=False)
     return masses
 
@@ -44,9 +45,7 @@ def outer_frequency_check(
     hit_probability = float(masses[check_observed_count(observed_count, masses.size - 1)])
     check_eps(eps)
     state = SingleCopyState.from_alpha_probability(hit_probability)
-    first, band = two_level_band(state, num_runs)
-    counts = np.arange(first, first + band.size)
-    return window_masses_over(counts, band, int(num_runs), hit_probability, hit_probability, eps)
+    return window_masses(two_level_band(state, num_runs), 0, hit_probability, eps)
 
 
 def surprise_index(masses: np.ndarray, observed_count: int) -> float:

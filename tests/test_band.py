@@ -1,11 +1,12 @@
 """The banded two-level route against the dense route, bit for bit.
 
-``two_level_band`` runs the kernel only on a window around the counts whose
-two-level weight is nonzero in floats and returns that band alone.  Every
-reduction is an exactly rounded sum, which ignores the order of its terms
-and the 0.0 weights outside the band, so a reduction over the band's counts
-and weights must print the same bits as the same reduction over all N + 1
-counts of the dense ``decompose_two_level`` route.
+``two_level_band`` runs the kernel only on a window of counts around the
+nonzero two-level weights and returns those rows alone, as a
+``FrequencyDecomposition`` whose rows are a contiguous ascending run of the
+dense rows.  Every reduction is an exactly rounded sum, which ignores the
+order of its terms and the 0.0 weights outside the band, so the same
+reduction over the band and over all N + 1 rows of the dense
+``decompose_two_level`` route must print the same bits.
 """
 
 import dataclasses
@@ -19,14 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqborn import decomposition
-from freqborn.concentration import convergence_scan, window_masses, window_masses_over
+from freqborn.concentration import convergence_scan, window_masses
 from freqborn.continuum import GridWavefunction, Region, region_frequency_analysis
 from freqborn.decomposition import (
     MAX_DECOMPOSITION_BYTES,
     SingleCopyState,
     decompose_two_level,
     frequency_moments,
-    frequency_moments_over,
+    total_mass,
     two_level_band,
 )
 from freqborn.errors import CapacityError, exact_sum
@@ -49,22 +50,22 @@ def test_band_route_matches_dense_route_bitwise(prob, copies):
     state = SingleCopyState.from_alpha_probability(prob)
     dense = decompose_two_level(state, copies)
     dense_weights = np.exp(dense.log_weights)
-    first, band = two_level_band(state, copies)
-    ns = np.arange(first, first + band.size)
-    assert band.tobytes() == dense_weights[ns].tobytes()
+    band = two_level_band(state, copies)
+    ns = band.level_counts(0)
+    assert band.counts.tobytes() == dense.counts[ns].tobytes()
+    assert band.log_weights.tobytes() == dense.log_weights[ns].tobytes()
     assert not np.any(np.delete(dense_weights, ns))
-    for level, counts in enumerate((ns, copies - ns)):
+    for level in range(2):
         level_prob = float(state.level_probs[level])
         for eps in (0.01, 3.0 / math.sqrt(copies)):
-            assert bits(window_masses_over(counts, band, copies, level_prob, level_prob, eps)) == bits(
+            assert bits(window_masses(band, level, level_prob, eps)) == bits(
                 window_masses(dense, level, level_prob, eps)
             )
-        assert bits(frequency_moments_over(counts, band, copies, level_prob)) == bits(
-            frequency_moments(dense, level)
-        )
+        assert bits(frequency_moments(band, level)) == bits(frequency_moments(dense, level))
+    assert total_mass(band).hex() == total_mass(dense).hex()
     masses = finite_run_distribution(state, copies)
     assert masses.tobytes() == dense_weights.tobytes()
-    for observed in {0, first, first + int(np.argmax(band)), first + band.size - 1, copies}:
+    for observed in {0, ns[0], ns[np.argmax(band.log_weights)], ns[-1], copies}:
         assert surprise_index(masses, observed).hex() == surprise_index(dense_weights, observed).hex()
 
 
@@ -106,7 +107,8 @@ def test_band_routes_allocate_no_dense_array(route):
 
 def test_band_weights_are_read_only():
     state = SingleCopyState.from_alpha_probability(0.3)
-    for weights in (two_level_band(state, 10)[1], finite_run_distribution(state, 10)):
+    band = two_level_band(state, 10)
+    for weights in (band.counts, band.log_weights, finite_run_distribution(state, 10)):
         with pytest.raises(ValueError):
             weights[0] = 1.0
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 from freqborn.combinatorics import LOG_ZERO, _bd0, _stirlerr, occupancy_log_weights
 from freqborn.decomposition import SingleCopyState, compositions, decompose_two_level
@@ -290,6 +291,11 @@ def test_kernel_on_a_multilevel_row_subset_matches_the_full_table_bitwise(probs)
 # ranges cross the deviance's near/far boundary at |n - Np| = 0.1 (n + Np).
 # Re-record a hash only when the kernel's bits are meant to change, and say
 # so in the change log.
+#
+# numpy's exp and log loops with AVX-512 round some entries differently from
+# its other loops, so the two N = 200,000 cases at p = 0.3 and 0.05 carry one
+# hash per path, chosen by the path numpy reports it runs on.
+AVX512 = __cpu_features__["AVX512_SKX"]
 
 TWO_LEVEL_KERNEL_BITS = [
     (0.3, 1, "b267ed85ea25e5608ffdc7887ec27bbc19cc7cfcedb30f0c0b06a29b6bb2cb7c"),
@@ -297,13 +303,15 @@ TWO_LEVEL_KERNEL_BITS = [
     (0.3, 21, "584427be58201c08460423e46c0c50f9568b64af22933b76ef940ef10b43bfa4"),
     (0.3, 22, "8e361735fa3ffdad63948f9cef7aec821d5b48857f0b95ee9da82abce843458f"),
     (0.3, 1000, "4a3c4d89898929ecc7f6fd2e828068cde312c6bbd9ee7a8c7b0880ce40df86da"),
-    (0.3, 200000, "d174b9615d1d82296286f8af79353c98350905df75e7396576f8e98850ede444"),
+    (0.3, 200000, "d174b9615d1d82296286f8af79353c98350905df75e7396576f8e98850ede444" if AVX512
+     else "2af6491254f7a15cafd80701b29730aed71018f8141f412c94cf971158e6c353"),
     (0.05, 1, "a377e371ac851641e7ab49dcc63a324ee25e781f293df04e30588ef3cb236e8e"),
     (0.05, 20, "cad138b0279b00848d2734a06638ace9cd8ffe06d7a03316c6f00994ac73af67"),
     (0.05, 21, "ef1d66443458ed5840d324c47f5f9eeff8e170604ca6c7a7f785281741911229"),
     (0.05, 22, "1316cbbfec8544267094d1303dac50700a3f60c912355b6d2e011c739769fa99"),
     (0.05, 1000, "3de5b49e0c786ea90c00b8fc9dbb363329016404109a220d3e8f4c6fcd175183"),
-    (0.05, 200000, "e89789ccfaafaae8dbb78cf536deda3e494dc274fa27ca9b9dda68894b6831f0"),
+    (0.05, 200000, "e89789ccfaafaae8dbb78cf536deda3e494dc274fa27ca9b9dda68894b6831f0" if AVX512
+     else "0ac0d0efca2fea40b9c8a3f6928c02aa5841df594111026967dd094ac3c0734c"),
     (0.0, 1, "38e55d56cbd825451cf44bd884b2ded4f5bda1e38522dbae360e22967259e56a"),
     (0.0, 20, "fc6b5a165def416c08a2e2f13d32c14fb752f7498c751315aa6a7c0b29732fec"),
     (0.0, 21, "b4f547f3275fab13341554f207c70701aec88d5d7a3921af94f7ffec33ad8a21"),

@@ -497,6 +497,9 @@ def test_whole_floats_and_numpy_ints_count_like_ints():
     assert convergence_scan(TWO, 0.1, [np.int64(10), 20.0]) == convergence_scan(TWO, 0.1, [10, 20])
     assert check_observed_count(np.int64(3), 10) == 3
     assert np.array_equal(SMALL.level_counts(np.int64(1)), SMALL.level_counts(1))
+    assert window_masses(SMALL, 1.0, 0.7, 0.1) == window_masses(SMALL, 1, 0.7, 0.1)
+    assert frequency_moments(SMALL, np.int64(1)) == frequency_moments(SMALL, 1)
+    assert frequency_moments(SMALL, 1.0) == frequency_moments(SMALL, 1)
     assert compositions(3.0, np.int32(2)).tolist() == compositions(3, 2).tolist()
 
 

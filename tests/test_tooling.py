@@ -1,5 +1,6 @@
-"""The tier-1 pytest settings report a failing hypothesis test as a failure, and the
-benchmark checker's own tests pass."""
+"""The tier-1 pytest settings report a failing hypothesis test as a failure, the
+benchmark checker's own tests pass, and the recorded hashes hold on numpy's loops
+without AVX-512."""
 
 import os
 import subprocess
@@ -7,6 +8,12 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def env_with_src(**extra) -> dict:
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
+
 
 FAILING_PROPERTY = """
 from hypothesis import given, strategies as st
@@ -37,10 +44,29 @@ def test_failing_given_test_is_reported_without_internal_error(tmp_path):
 
 def test_benchmark_checker_suite_passes():
     # a change that makes the document checker reject a document fails here, not first in a benchmark run
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench"],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env=env_with_src(),
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+# numpy's runtime dispatch then takes its AVX2 loops, as on a CPU without AVX-512
+WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+HASH_MODULES = ("tests/test_combinatorics.py", "tests/test_golden_documents.py")
+
+
+def test_recorded_hashes_hold_without_avx512():
+    env = env_with_src(NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    probe = "from numpy._core._multiarray_umath import __cpu_features__; print(__cpu_features__['AVX512_SKX'])"
+    path = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert path.stdout.strip() == "False"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *HASH_MODULES],
         capture_output=True,
         text=True,
         cwd=ROOT,
