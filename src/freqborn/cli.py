@@ -189,7 +189,7 @@ def scan(ns, eps, a2, amps, renormalize, output_format, out_path):
     """
     state, source = build_state(a2, amps, renormalize)
     try:
-        counts = [int(piece.strip()) for piece in ns.split(",") if piece.strip()]
+        counts = [int(piece) for piece in ns.split(",")]
     except ValueError:
         raise ValueError(f"--ns must be a comma-separated integer list, got {ns!r}") from None
     windows = convergence_scan(state, eps, counts)
@@ -331,8 +331,8 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     Exits 0 iff the largest per-sector weight deviation is at most 1e-12.
     """
     state, source = build_state(a2, amps, renormalize)
-    closed = decompose_multilevel(state, num_copies)
     oracle = brute_force_decompose(state, num_copies)
+    closed = decompose_multilevel(state, num_copies)
     if not np.array_equal(closed.counts, oracle.counts):
         raise ContractError("sector enumerations disagree between routes")
     deviation = float(

@@ -287,44 +287,40 @@ def brute_force_decompose(state: SingleCopyState, num_copies: int) -> FrequencyD
     built left to right from 1 + 0j as CPython's ``complex.__mul__`` builds it,
     one rounded real operation per ufunc, and ``np.add.at`` adds each mass to
     its sector in sequence order, so every sum rounds like the plain loop's.
-    A sequence's sector is its occupation code, the counts as base-(N + 1)
-    digits with level 0 most significant, so sorted codes are sorted sectors.
+    A sequence's key is its sector's row, carried copy by copy: ``steps[k][a, level]`` is the row,
+    in lexicographic order, of the (k + 1)-copy sector that adds one copy at ``level`` to k-copy row ``a``.
     N passes the closed-form byte budget, then ``MAX_BRUTE_FORCE_SEQUENCES`` on M^N.
     """
     num_copies = _check_size(state, num_copies)
     m = state.num_levels
-    sequences = m**num_copies
-    check_capacity(sequences, MAX_BRUTE_FORCE_SEQUENCES, "brute-force enumeration", "sequences")
-    radix = num_copies + 1
-    # Python ints once the largest code, N (N + 1)^(M - 1), no longer fits in int64
-    dtype = np.int64 if radix**m <= 2**63 else object
-    place = np.array([radix ** (m - 1 - level) for level in range(m)], dtype=dtype)
+    check_capacity(m**num_copies, MAX_BRUTE_FORCE_SEQUENCES, "brute-force enumeration", "sequences")
+    # uint8 counts suffice: the sequence guard, below 2^25, keeps N <= 24 at M >= 2
+    sectors, steps = np.zeros((1, m), dtype=np.uint8), []
+    for _ in range(num_copies):
+        grown = (sectors[:, None, :] + np.eye(m, dtype=np.uint8)).reshape(-1, m)
+        # one m-byte void per row sorts by memcmp, the rows' lexicographic order
+        sectors, step = np.unique(grown.view(f"V{m}").ravel(), return_inverse=True)
+        sectors = sectors.view(np.uint8).reshape(-1, m)
+        steps.append(step.reshape(-1, m))
     amps = (state.amplitudes.real, state.amplitudes.imag)
     inner = 0
     while inner < num_copies and m ** (inner + 1) <= BRUTE_FORCE_BLOCK:
         inner += 1
-    empty = (np.ones(1), np.zeros(1), np.zeros(1, dtype=dtype))
-    prefixes = _append_copies(empty, amps, place, num_copies - inner)
-    # every sequence's code is one prefix code plus one code of the inner copies
-    suffix_codes = _append_copies(empty, amps, place, inner)[2]
-    keys = np.unique(np.add.outer(np.unique(prefixes[2]), np.unique(suffix_codes)))
-    masses = np.zeros(keys.size)
+    prefixes = _append_copies((np.ones(1), np.zeros(1), np.zeros(1, dtype=np.intp)), amps, steps[: num_copies - inner])
+    masses = np.zeros(sectors.shape[0])
     rows = max(BRUTE_FORCE_BLOCK // m**inner, 1)
     for start in range(0, prefixes[0].size, rows):
-        re, im, code = _append_copies([part[start : start + rows] for part in prefixes], amps, place, inner)
-        np.add.at(masses, np.searchsorted(keys, code), re * re + im * im)
-    counts = np.empty((keys.size, m), dtype=np.int64)
-    for level in range(m):
-        counts[:, level] = keys // place[level] % radix
+        re, im, row = _append_copies([part[start : start + rows] for part in prefixes], amps, steps[num_copies - inner :])
+        np.add.at(masses, row, re * re + im * im)
     log_weights = np.array([math.log(w) if w > 0.0 else LOG_ZERO for w in masses.tolist()])
-    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, counts)
+    return FrequencyDecomposition(num_copies, state.level_probs, log_weights, sectors.astype(np.int64))
 
 
-def _append_copies(sequences, amps, place, copies):
-    """Append ``copies`` copies to every (re, im, code) sequence, each level in turn, in product order."""
-    (re, im, code), (ar, ai) = sequences, amps
-    for _ in range(copies):
+def _append_copies(sequences, amps, steps):
+    """Append one copy per step table to every (re, im, row) sequence, each level in turn, in product order."""
+    (re, im, row), (ar, ai) = sequences, amps
+    for step in steps:
         re, im = re[:, None], im[:, None]
         re, im = (re * ar - im * ai).ravel(), (re * ai + im * ar).ravel()
-        code = np.add.outer(code, place).ravel()
-    return re, im, code
+        row = step[row].ravel()
+    return re, im, row

@@ -57,7 +57,11 @@ def exact_sum(values: np.ndarray) -> float:
 
 def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
     if requested > limit:
-        raise CapacityError(f"{what} needs {requested} {unit}, above the limit of {limit} {unit}")
+        try:
+            needs = str(requested)
+        except ValueError:  # past Python's int-to-str digit limit; 0.30102999566 < log10(2) keeps the bound true
+            needs = f"more than 10^{(requested.bit_length() - 1) * 30102999566 // 10**11}"
+        raise CapacityError(f"{what} needs {needs} {unit}, above the limit of {limit} {unit}")
 
 
 def check_eps(eps: float) -> None:

@@ -119,6 +119,8 @@ def test_decompose_requires_exactly_one_state_input(runner):
         (["decompose", "--amps", "0.5", "--n", "3"], "need at least two comma-separated amplitudes"),
         (["decompose", "--amps", "foo,1", "--n", "3"], "cannot parse amplitude 'foo'"),
         (["scan", "--a2", "0.3", "--eps", "0.1", "--ns", "1,x"], "--ns must be a comma-separated integer list"),
+        (["scan", "--a2", "0.3", "--eps", "0.1", "--ns", "10,,20"], "--ns must be a comma-separated integer list"),
+        (["scan", "--a2", "0.3", "--eps", "0.1", "--ns", "10,20,"], "--ns must be a comma-separated integer list"),
     ],
 )
 def test_malformed_lists_are_usage_errors(runner, args, message):
@@ -509,6 +511,22 @@ def test_oracle_check_capacity_message(runner):
     assert result.stderr == (
         "capacity error: brute-force enumeration needs 67108864 sequences, above the limit of 20000000 sequences\n"
     )
+
+
+@pytest.mark.parametrize(
+    "args, needs",
+    [
+        # 2^15000 and 8 * 1025 * C(10^7 + 1023, 1023) have more digits than Python converts to str
+        (["oracle-check", "--a2", "0.3", "--n", "15000"], "brute-force enumeration needs more than 10^4515 sequences"),
+        (["decompose", "--amps", WIDE_AMPS, "--n", "10000000"], "decomposition needs more than 10^4528 bytes"),
+        # the closed route fits its byte budget at N = 10^7, but the oracle's sequence guard rejects first
+        (["oracle-check", "--a2", "0.3", "--n", "10000000"], "brute-force enumeration needs more than 10^3010299 sequences"),
+    ],
+)
+def test_capacity_errors_name_counts_beyond_the_str_limit(runner, args, needs):
+    result = invoke(runner, args)
+    assert result.exit_code == 3
+    assert result.stderr.startswith(f"capacity error: {needs}, above the limit of ")
 
 
 def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +26,7 @@ from freqborn.decomposition import (
 )
 from freqborn import decomposition
 from freqborn.concentration import chebyshev_bound, convergence_scan, window_masses
-from freqborn.errors import CapacityError, NormalizationError
+from freqborn.errors import CapacityError, NormalizationError, check_capacity
 from freqborn.finite_run import check_observed_count
 
 
@@ -239,6 +241,17 @@ def test_brute_force_capacity_guard():
         brute_force_decompose(SingleCopyState.from_alpha_probability(0.5), 25)
 
 
+@given(st.integers(min_value=14_300, max_value=100_000), st.integers(min_value=0, max_value=2**64))
+def test_capacity_message_names_a_power_of_ten_below_a_long_count(bits, low):
+    # 2^14300 has 4305 digits, past Python's int-to-str limit, so the count is named by a power of ten
+    requested = 2**bits + low
+    with pytest.raises(CapacityError) as error:
+        check_capacity(requested, 10, "enumeration", "sequences")
+    message = re.fullmatch(r"enumeration needs more than 10\^(\d+) sequences, above the limit of 10 sequences", str(error.value))
+    power = int(message.group(1))
+    assert 10**power < requested < 10 ** (power + 2)
+
+
 def test_brute_force_shares_the_decomposition_byte_budget(monkeypatch):
     # N = 1 at M levels needs 8 (M + 1) M bytes, far below the sequence guard's M^N
     state = SingleCopyState.from_probabilities([0.25] * 4)
@@ -292,8 +305,10 @@ def unit_amplitudes(count, seed, zero_level=None):
         (unit_amplitudes(4, 7), 8),
         (unit_amplitudes(5, 8), 7),
         (unit_amplitudes(2, 9), 17),
-        # (N + 1)^M beyond int64: the occupation codes are Python ints
+        # many levels: (N + 1)^M passes 2^63, so no base-(N + 1) code of the counts fits int64
         (unit_amplitudes(64, 10), 2),
+        (unit_amplitudes(70, 11), 1),
+        (unit_amplitudes(32, 12), 3),
     ],
 )
 def test_brute_force_matches_plain_loop_bit_for_bit(amplitudes, copies):
@@ -309,6 +324,21 @@ def test_brute_force_matches_plain_loop_bit_for_bit(amplitudes, copies):
 def test_brute_force_block_bounds_the_test_cases():
     # the cases above straddle the block: 2^16 = 4^8 fill it, 5^7 and 2^17 exceed it
     assert BRUTE_FORCE_BLOCK == 2**16 == 4**8 < 5**7 < 2**17
+
+
+def test_brute_force_sequence_guard_keeps_counts_in_uint8():
+    # M^N <= the guard < 2^25 keeps N <= 24 at M >= 2, so the oracle's uint8 sector rows cannot wrap
+    assert decomposition.MAX_BRUTE_FORCE_SEQUENCES < 2**25
+
+
+def test_brute_force_on_thousands_of_levels_is_fast():
+    # the guards admit up to 5,476 levels at N = 1, where (N + 1)^M is far beyond int64
+    state = SingleCopyState.from_probabilities([1.0] * 3000, renormalize=True)
+    start = time.perf_counter()
+    oracle = brute_force_decompose(state, 1)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(oracle.counts, decompose_multilevel(state, 1).counts)
+    assert elapsed < 3.0
 
 
 def max_weight_deviation(closed, oracle):
