@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,13 @@ from .errors import NormalizationError, check_eps, exact_sum, unit_mass
 
 GRID_NORM_TOLERANCE = 1e-6
 UNIFORM_SPACING_RTOL = 1e-9
+
+# the lines that csv reads as an empty row
+_BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
+# a PEP 515 underscore, which float() drops and numpy's parser rejects
+_DIGIT_UNDERSCORE = re.compile("(?<=[0-9])_(?=[0-9])")
+# ASCII characters that numpy's parser strips as spaces and float() does not
+_ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 class GridWavefunction:
@@ -111,32 +118,86 @@ class Region:
         return mask
 
 
+def _csv_rows(path: str, lines: list[str]) -> list[list[str]]:
+    """csv's rows for ``lines``, each of which must close every quoted cell it opens.
+
+    csv lets an open quoted cell run on into the next lines, or to the end of
+    the file; this reader reads the file line by line, so it rejects that.
+    """
+    rows = list(csv.reader([*lines, ""]))
+    if len(rows) != len(lines) + 1:
+        raise ValueError(f"{path}: a quoted cell does not close on its line")
+    return rows[:-1]
+
+
+def _is_comment(path: str, line: str) -> bool:
+    """Whether csv reads ``line`` as a row whose first cell starts with ``#`` after spaces."""
+    if '"' in line:
+        return _csv_rows(path, [line])[0][0].lstrip().startswith("#")
+    return line.lstrip().startswith("#")
+
+
+def _in_ascii_float_grammar(lines: list[str]) -> list[str]:
+    """``lines`` rewritten so that numpy's parser reads each cell as ``float()`` does.
+
+    Non-ASCII decimal digits become ASCII ones, and the ASCII separators
+    ``\\x1c``-``\\x1f``, which ``float()`` rejects and numpy strips, become ``?``.
+    Then PEP 515 underscores (one between two digits) are dropped; any other
+    underscore stays, and fails to parse as it fails in ``float()``.
+    """
+    text = "".join(lines)
+    if not text.isascii() or any(ch in text for ch in _ASCII_SEPARATORS):
+        table = {ord(ch): str(int(ch)) for ch in set(text) if ch.isdecimal() and not ch.isascii()}
+        table.update(dict.fromkeys(map(ord, _ASCII_SEPARATORS), "?"))
+        lines = [line.translate(table) for line in lines]
+    if "_" in text:
+        lines = [_DIGIT_UNDERSCORE.sub("", line) for line in lines]
+    return lines
+
+
 def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunction:
     """Load a wavefunction from a CSV file with header ``x,re,im``.
 
     Rows whose first cell starts with ``#`` and blank rows are skipped, and
-    every cell is read with ``float()``.  The grid coordinates must be finite
-    and uniformly spaced within 1e-9 relative tolerance.  Finite coordinates
-    whose span overflows the float range raise ``NormalizationError``.
+    every cell is read with the grammar of ``float()``.  The file is split
+    into lines where csv splits it (at ``\\r\\n``, ``\\r`` and ``\\n``), the header
+    is read with ``csv``, and the data lines with one ``np.loadtxt`` call that
+    quotes as csv does, after :func:`_in_ascii_float_grammar` rewrites what
+    ``float()`` accepts and numpy's parser does not.  A quoted cell must close
+    on its own line.  The grid coordinates must be finite and uniformly spaced
+    within 1e-9 relative tolerance.  Finite coordinates whose span overflows
+    the float range raise ``NormalizationError``.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
+        # csv's own line split: at \r\n, \r and \n only
+        lines = handle.readlines()
+    rows = [
+        line
+        for line in lines
+        if line not in _BLANK_LINES and ("#" not in line or not _is_comment(path, line))
+    ]
     if not rows:
         raise ValueError(f"{path}: empty wavefunction file")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header != ["x", "re", "im"]:
-        raise ValueError(f"{path}: expected header x,re,im, got {rows[0]!r}")
+    header = _csv_rows(path, rows[:1])[0]
+    if [cell.strip().lower() for cell in header] != ["x", "re", "im"]:
+        raise ValueError(f"{path}: expected header x,re,im, got {header!r}")
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least two sample rows")
     body = rows[1:]
-    if any(len(row) != 3 for row in body):
-        raise ValueError(f"{path}: every row needs exactly three columns")
+    # a quoted cell left open on the last line would run to the end of the file
+    _csv_rows(path, body[-1:])
     try:
-        cells = np.fromiter(map(float, chain.from_iterable(body)), np.float64, 3 * len(body))
+        data = np.loadtxt(
+            _in_ascii_float_grammar(body), np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2
+        )
     except ValueError:
-        raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
-    data = cells.reshape(-1, 3)
+        data = None
+    if data is None or data.shape != (len(body), 3):
+        # the first failure that csv.reader plus float() reports; numpy runs an
+        # open quoted cell on into the next line, which _csv_rows rejects
+        if any(len(row) != 3 for row in _csv_rows(path, body)):
+            raise ValueError(f"{path}: every row needs exactly three columns")
+        raise ValueError(f"{path}: non-numeric cell in wavefunction data")
     x = data[:, 0]
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: grid coordinates must be finite")

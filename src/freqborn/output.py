@@ -186,10 +186,31 @@ def render_json(table: Table) -> str:
     return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout in full, or raise ``OSError``.
+
+    A stream with a binary ``buffer`` gets the encoded bytes, written in a
+    loop over short writes: unbuffered (``python -u``), ``sys.stdout`` writes
+    through to a raw file whose short writes its text layer drops, so a
+    reader that closes early would leave a document cut short with exit 0.
+    A text-only stream (an ``io.StringIO``) gets ``text`` as it is.
+    """
+    stream = sys.stdout
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        stream.write(text)
+        return
+    stream.flush()
+    data = memoryview(text.encode(stream.encoding, stream.errors))
+    while data:
+        data = data[buffer.write(data):]
+    buffer.flush()
+
+
 def write_text(text: str, out_path: str | None) -> None:
     """Write to stdout, or atomically to ``out_path``."""
     if out_path is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     temp_path = os.path.join(directory, f".freqborn-{os.urandom(8).hex()}")

@@ -328,6 +328,18 @@ def test_cv_malformed_csv_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_cv_quoted_cell_across_lines_is_usage_error(runner, tmp_path):
+    # csv.reader plus float() would read the cell "1.0\n" as 1.0; the reader is line-based
+    path = tmp_path / "psi.csv"
+    path.write_text('x,re,im\n0.0,"1.0\n",0.0\n0.5,1.0,0.0\n')
+    result = invoke(
+        runner,
+        ["cv", "--wavefunction", str(path), "--region", "0:1", "--n", "10", "--eps", "0.1", "--renormalize"],
+    )
+    assert result.exit_code == 2
+    assert result.output == f"error: {path}: a quoted cell does not close on its line\n"
+
+
 def test_cv_rejects_nan_grid_point(runner, tmp_path):
     path = tmp_path / "psi.csv"
     write_box_csv(path)

@@ -2,9 +2,14 @@
 
 import csv
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqborn.continuum import (
     GridWavefunction,
@@ -206,10 +211,21 @@ def test_csv_rejects_ragged_rows(tmp_path):
 
 
 def reference_csv_samples(path):
-    # the reader's rule with one float() per cell in a nested list
+    # the reader's rule with one float() per cell in a nested list, and its messages
     with open(path, newline="") as handle:
         rows = [row for row in csv.reader(handle) if row and not row[0].lstrip().startswith("#")]
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
+    if not rows:
+        raise ValueError(f"{path}: empty wavefunction file")
+    if [cell.strip().lower() for cell in rows[0]] != ["x", "re", "im"]:
+        raise ValueError(f"{path}: expected header x,re,im, got {rows[0]!r}")
+    if len(rows) < 3:
+        raise ValueError(f"{path}: need at least two sample rows")
+    if any(len(row) != 3 for row in rows[1:]):
+        raise ValueError(f"{path}: every row needs exactly three columns")
+    try:
+        data = np.array([[float(cell) for cell in row] for row in rows[1:]], dtype=np.float64)
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
     x = data[:, 0]
     return x[0], (x[-1] - x[0]) / (len(x) - 1), data[:, 1] + 1j * data[:, 2]
 
@@ -234,6 +250,150 @@ def test_csv_edge_files_match_per_cell_float_bit_for_bit(tmp_path):
     expected = GridWavefunction(origin, spacing, samples, renormalize=True)
     assert psi.samples.tobytes() == expected.samples.tobytes()
     assert psi.density.tobytes() == expected.density.tobytes()
+
+
+# spaces float() strips around a number: ASCII ones and Unicode ones (NBSP, NEL, em, ideographic)
+SPACES = (" ", "\t", "\x0b", "\x0c", "\xa0", "\x85", "\u2003", "\u3000")
+# zeros of Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth digits
+DIGIT_ZEROS = (0x660, 0x6F0, 0x966, 0xFF10)
+NON_FINITE = ("inf", "-inf", "+Infinity", "INFINITY", "nan", "-NaN", "+nan", "iNf")
+# cells float() rejects: bad underscores, inner spaces, other grammars
+NON_NUMERIC = (
+    "oops", "", "1__0", "_1", "1_", "1_.5", "1._5", "1e_5", "nan_", "\u0661_", "1 2", "1\u20032",
+    "0x10", "1d5", "+", ".", "e5", "1e", "1,5", "1.0.0", "infinityy",
+)
+# ASCII separators that float() does not strip around a number, though str.isspace() is true
+SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+COMMENTS = ("# note", "#x,re,im", "   # indented", "\u3000#x", '"# quoted",1,2', '"#"', '"  #x"', '#"x",1')
+WHITESPACE_ROWS = (" ", "\t", "  \u3000")
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def spelled_number(draw, value):
+    """``value`` as text that float() reads back exactly."""
+    text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17g}"]))
+    if draw(st.booleans()):
+        underscores = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+        text = text[0] + "".join(
+            ("_" if before.isdigit() and ch.isdigit() and mark else "") + ch
+            for before, ch, mark in zip(text, text[1:], underscores)
+        )
+    if draw(st.booleans()):
+        zero = draw(st.sampled_from(DIGIT_ZEROS))
+        text = "".join(chr(zero + int(ch)) if ch in "0123456789" else ch for ch in text)
+    return text
+
+
+@st.composite
+def csv_cell(draw, text):
+    """``text`` with spaces around it, and quoted or not (always when it holds a comma)."""
+    spaces = st.text(st.sampled_from(SPACES), max_size=2)
+    text = draw(spaces) + text + draw(spaces)
+    if "," in text or draw(st.booleans()):
+        text = f'"{text}"' + draw(st.sampled_from(["", " "]))
+    return text
+
+
+FAULTS = (
+    "ragged", "trailing comma", "whitespace row", "non-numeric", "separator", "space before quote",
+    "non-finite sample", "bad header", "one sample row", "no rows",
+)
+
+
+@st.composite
+def wavefunction_files(draw):
+    """A wavefunction file as text, with at most one fault."""
+    fault = draw(st.none() | st.sampled_from(FAULTS))
+    size = 1 if fault == "one sample row" else draw(st.integers(2, 8))
+    origin = draw(st.sampled_from([-1.0, 0.0, 0.3, 12.5]))
+    spacing = draw(st.sampled_from([0.05, 0.1, 0.25, 1e-3]))
+    amplitudes = st.floats(-10.0, 10.0, allow_nan=False)
+    rows = []
+    for k in range(size):
+        cells = [draw(spelled_number(value)) for value in (origin + k * spacing, draw(amplitudes), draw(amplitudes))]
+        rows.append([draw(csv_cell(cell)) for cell in cells])
+    k = draw(st.integers(0, size - 1))
+    if fault == "ragged":
+        rows[k] = rows[k][: draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else [*rows[k], "0.0"]
+    elif fault == "trailing comma":
+        rows[k] = [*rows[k], ""]
+    elif fault == "non-numeric":
+        rows[k][draw(st.integers(0, 2))] = draw(csv_cell(draw(st.sampled_from(NON_NUMERIC))))
+    elif fault == "separator":
+        separator = draw(st.sampled_from(SEPARATORS))
+        rows[k][draw(st.integers(0, 2))] = draw(st.sampled_from([separator + "1.0", "1.0" + separator]))
+    elif fault == "space before quote":
+        rows[k][draw(st.integers(0, 2))] = ' "1.0"'
+    elif fault == "non-finite sample":
+        rows[k][draw(st.integers(1, 2))] = draw(csv_cell(draw(st.sampled_from(NON_FINITE))))
+    lines = [",".join(row) for row in rows]
+    if fault == "whitespace row":
+        lines.insert(draw(st.integers(0, size)), draw(st.sampled_from(WHITESPACE_ROWS)))
+    if fault == "no rows":
+        lines = []
+    else:
+        header = draw(st.sampled_from(["x,re,im", "X, Re ,IM", '"x","re","im"', "x,re,im "]))
+        lines.insert(0, "x,real,imag" if fault == "bad header" else header)
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.sampled_from(["", *COMMENTS]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    ends = draw(st.sampled_from(LINE_ENDS + ("mixed",)))
+    text = "".join(line + (draw(st.sampled_from(LINE_ENDS)) if ends == "mixed" else ends) for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
+
+
+def read_outcome(read):
+    try:
+        psi = read()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return psi.origin.hex(), psi.spacing.hex(), psi.samples.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(wavefunction_files())
+def test_reader_accepts_and_rejects_what_csv_and_float_do(text):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "psi.csv"
+        path.write_bytes(text.encode())
+        expected = read_outcome(lambda: GridWavefunction(*reference_csv_samples(path), renormalize=True))
+        assert read_outcome(lambda: read_wavefunction_csv(str(path), renormalize=True)) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # csv reads the cell as "1.0\n", which float() accepts
+        'x,re,im\n0.0,"1.0\n",0.0\n0.5,1.0,0.0\n',
+        # csv reads the rest of the file into the comment row
+        'x,re,im\n#,"open\n0.0,1.0,0.0\n0.5,1.0,0.0\n',
+        '"x\n",re,im\n0.0,1.0,0.0\n0.5,1.0,0.0\n',
+        # csv closes the cell at the end of the file
+        'x,re,im\n0.0,1.0,0.0\n0.5,1.0,"0.0\n',
+    ],
+)
+def test_quoted_cell_must_close_on_its_line(tmp_path, text):
+    path = tmp_path / "psi.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="a quoted cell does not close on its line"):
+        read_wavefunction_csv(str(path), renormalize=True)
+
+
+def test_reader_peak_memory_on_100000_rows(tmp_path):
+    path = tmp_path / "psi.csv"
+    values = np.random.default_rng(5).normal(size=(100_000, 2)).tolist()
+    with open(path, "w") as handle:
+        handle.write("x,re,im\n")
+        handle.writelines(f"{(k - 50_000) / 5_000!r},{re!r},{im!r}\n" for k, (re, im) in enumerate(values))
+    tracemalloc.start()
+    try:
+        psi = read_wavefunction_csv(str(path), renormalize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert psi.size == 100_000
+    assert peak < 25 * 2**20
 
 
 @pytest.mark.parametrize("grid", [("0.0", "1.0", "inf"), ("-inf", "1.0", "inf"), ("0.0", "-inf", "2.0")])

@@ -1,15 +1,19 @@
 """The columnar renderers print exactly the bytes of the row-wise reference, also with
 the rows of a table split over two processes."""
 
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freqborn
 from freqborn import __version__ as VERSION
 from freqborn import output
 from freqborn.output import SCHEMA_VERSION, Table, render_csv, render_json, write_text
@@ -110,6 +114,69 @@ def test_failed_rename_keeps_the_old_file_and_removes_the_temp_file(tmp_path, mo
         write_text("new\n", str(target))
     assert target.read_text() == "old\n"
     assert [path.name for path in tmp_path.iterdir()] == ["doc.csv"]
+
+
+class ShortWriteRaw(io.RawIOBase):
+    """A raw file that takes at most ``limit`` bytes per write, as a pipe may."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.received = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        taken = bytes(data[: self.limit])
+        self.received += taken
+        return len(taken)
+
+
+def test_stdout_bytes_survive_short_writes(monkeypatch):
+    raw = ShortWriteRaw(7)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    text = "#schema=v1\nx,\u00e9\n" + "1,2\n" * 40
+    write_text(text, None)
+    assert bytes(raw.received) == text.encode()
+
+
+def test_text_only_stdout_gets_the_text(monkeypatch):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    write_text("a,b\n1,2\n", None)
+    assert stream.getvalue() == "a,b\n1,2\n"
+
+
+def child_env(**extra):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, **extra}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_stdout_closed_early_exits_2(unbuffered):
+    # an 8 MB document: the reader closes after 100 bytes, so the write breaks the pipe
+    env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    command = [sys.executable, "-m", "freqborn.cli", "decompose", "--a2", "0.3", "--n", "200000"]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.wait(timeout=60)
+    assert child.returncode == 2, stderr
+    assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_stdout_documents_are_the_out_file_bytes(tmp_path):
+    args = ["decompose", "--amps", "0.6,0.8i", "--n", "300", "--format", "json"]
+    run = [sys.executable, "-m", "freqborn.cli", *args]
+    subprocess.run([*run, "--out", "doc.json"], cwd=tmp_path, env=child_env(), check=True, timeout=60)
+    expected = (tmp_path / "doc.json").read_bytes()
+    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+        child = subprocess.run(run, cwd=tmp_path, env=child_env(**extra), capture_output=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == expected
 
 
 # --- rows rendered in two processes -----------------------------------------------------
