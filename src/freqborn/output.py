@@ -189,11 +189,11 @@ def render_json(table: Table) -> str:
 def _write_stdout(text: str) -> None:
     """Write ``text`` to stdout in full, or raise ``OSError``.
 
-    A stream with a binary ``buffer`` gets the encoded bytes, written in a
-    loop over short writes: unbuffered (``python -u``), ``sys.stdout`` writes
-    through to a raw file whose short writes its text layer drops, so a
-    reader that closes early would leave a document cut short with exit 0.
-    A text-only stream (an ``io.StringIO``) gets ``text`` as it is.
+    A stream with a binary ``buffer`` gets the encoded bytes in a loop over
+    short writes: under ``python -u`` the text layer writes through to a raw
+    file and drops what a short write leaves, so a reader that closes early
+    would cut the document short with exit 0.  A text-only stream (an
+    ``io.StringIO``) gets ``text`` as it is.
     """
     stream = sys.stdout
     buffer = getattr(stream, "buffer", None)

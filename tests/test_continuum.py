@@ -361,6 +361,18 @@ def test_reader_accepts_and_rejects_what_csv_and_float_do(text):
         assert read_outcome(lambda: read_wavefunction_csv(str(path), renormalize=True)) == expected
 
 
+def test_undecodable_file_fails_as_csv_iteration_does(tmp_path):
+    # the decoder names the byte's offset within the chunk it decodes, so the reader
+    # must read the file in the chunks that iterating it for csv.reader does
+    path = tmp_path / "psi.csv"
+    path.write_bytes(b"x,re,im\n" + b"0.0,1.0,0.0\n" * 2000 + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError) as expected:
+        reference_csv_samples(path)
+    with pytest.raises(UnicodeDecodeError) as raised:
+        read_wavefunction_csv(str(path))
+    assert str(raised.value) == str(expected.value)
+
+
 @pytest.mark.parametrize(
     "text",
     [
