@@ -5,12 +5,15 @@ violation.  Identical invocations produce byte-identical documents.  Across
 CPUs, every sum is exactly rounded and prints the same bits on any SIMD path
 or BLAS core; the kernel's ``exp`` and ``log`` follow numpy's SIMD loops, so
 tail weights, and the documents that print or sum them, are byte-identical
-only on the same CPU class.
+only on the same CPU class.  As a process, the CLI flushes stdout and stderr and
+then ends without interpreter teardown (see :func:`run`), so no ``atexit``
+handler runs; calling :func:`main` from Python exits as usual.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 
 import click
@@ -353,5 +356,34 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
         raise ContractError(f"max deviation {deviation!r} above {ORACLE_TOLERANCE!r}")
 
 
+def _flushed() -> bool:
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a broken pipe, say: the normal exit reports it as it always has
+        return False
+    return True
+
+
+def run() -> None:
+    """The process entry: :func:`main` in standalone mode, then ``os._exit``.
+
+    Once stdout and stderr are flushed, the process ends with click's exit
+    code and skips module teardown and the final garbage collections, whose
+    cost is a visible share of a short command.  Every document is complete
+    by then: ``write_text`` has replaced its ``--out`` file or flushed stdout,
+    and the renderer's forked child is reaped.  A non-integer exit code, an
+    exception other than ``SystemExit`` (a bug's traceback) and a flush that
+    raises take the normal exit instead.
+    """
+    try:
+        main()
+    except SystemExit as exc:
+        code = 0 if exc.code is None else exc.code
+        if not isinstance(code, int) or not _flushed():
+            raise
+        os._exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    run()

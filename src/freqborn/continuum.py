@@ -123,8 +123,12 @@ def _csv_rows(path: str, lines: list[str]) -> list[list[str]]:
 
     csv lets an open quoted cell run on into the next lines, or to the end of
     the file; this reader reads the file line by line, so it rejects that.
+    csv's own errors, such as a cell past its field limit, become ``ValueError``.
     """
-    rows = list(csv.reader([*lines, ""]))
+    try:
+        rows = list(csv.reader([*lines, ""]))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if len(rows) != len(lines) + 1:
         raise ValueError(f"{path}: a quoted cell does not close on its line")
     return rows[:-1]
@@ -210,6 +214,9 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
         raise NormalizationError(f"{path}: the grid span overflows, so the total grid mass is inf")
     if not np.max(np.abs(np.diff(x) - spacing)) <= UNIFORM_SPACING_RTOL * spacing:
         raise ValueError(f"{path}: grid spacing is not uniform within {UNIFORM_SPACING_RTOL} relative")
+    # before the product, where 1j * inf would warn of an invalid value
+    if not np.all(np.isfinite(data[:, 1:])):
+        raise ValueError("samples must be finite")
     samples = data[:, 1] + 1j * data[:, 2]
     return GridWavefunction(float(x[0]), spacing, samples, renormalize=renormalize)
 

@@ -397,6 +397,27 @@ def test_cv_out_of_range_grid_reports_one_line(tmp_path, grid, code, message):
     assert message in lines[0]
 
 
+LONG_CELL = "0" * 200_001  # past csv's field limit of 131,072 characters
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # 1j * inf is nan + inf j, with numpy's invalid-value warning, unless checked first
+        ("x,re,im\n0.0,1.0,inf\n0.5,1.0,0.0\n", "samples must be finite"),
+        (f"x,re,im\n0.0,1.0,0.0\n0.5,1.0,{LONG_CELL}\n", "{path}: field larger than field limit (131072)"),
+    ],
+    ids=["infinite im", "cell past the csv field limit"],
+)
+def test_cv_bad_sample_reports_one_line(tmp_path, text, message):
+    path = tmp_path / "psi.csv"
+    path.write_text(text)
+    child = run_cli("cv", "--wavefunction", str(path), "--region", "0:1", "--n", "10", "--eps", "0.1")
+    assert child.returncode == 2
+    assert child.stdout == ""
+    assert child.stderr == f"error: {message.format(path=path)}\n"
+
+
 # --- finite-run -----------------------------------------------------------------------
 
 
@@ -648,3 +669,61 @@ def test_cli_overflowing_renormalize_reports_one_line():
     assert len(lines) == 1, child.stderr
     assert "inf" in lines[0]
     assert "RuntimeWarning" not in child.stderr
+
+
+# --- the process exit ------------------------------------------------------------------
+
+# freqborn.cli run as __main__, as python -m runs it, after an atexit handler and a patch
+ENTRY = """
+import atexit, runpy, sys
+atexit.register(sys.stderr.write, "atexit probe ran\\n")
+{patch}
+runpy.run_module("freqborn.cli", run_name="__main__", alter_sys=True)
+"""
+FAILING_BOUND = """
+import freqborn.concentration
+def chebyshev_bound(*args):
+    raise RuntimeError("injected failure")
+freqborn.concentration.chebyshev_bound = chebyshev_bound
+"""
+
+
+def run_entry(args, patch="", cwd=None):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-c", ENTRY.format(patch=patch), *args], env=env, cwd=cwd, capture_output=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["bound", "--a2", "0.3", "--n", "10", "--eps", "0.1"], 0),
+        (["bound", "--a2", "0.3", "--n", "10", "--eps", "0.1", "--format", "json", "--out", "doc.json"], 0),
+        (["bound", "--a2", "1.5", "--n", "10", "--eps", "0.1"], 2),
+        (["decompose", "--a2", "0.3", "--n", "10000001"], 3),
+        (["decompose", "--amps", "2,0", "--n", "3"], 4),
+    ],
+)
+def test_process_skips_teardown_and_keeps_code_and_bytes(runner, tmp_path, monkeypatch, args, code):
+    (tmp_path / "child").mkdir()
+    (tmp_path / "in_process").mkdir()
+    child = run_entry(args, cwd=tmp_path / "child")
+    monkeypatch.chdir(tmp_path / "in_process")
+    expected = runner.invoke(main, args, catch_exceptions=False)
+    assert child.returncode == expected.exit_code == code
+    assert child.stdout == expected.stdout_bytes
+    # no "atexit probe ran": the process ended at os._exit
+    assert child.stderr == expected.stderr_bytes
+    if "--out" in args:
+        assert (tmp_path / "child" / "doc.json").read_bytes() == (tmp_path / "in_process" / "doc.json").read_bytes()
+
+
+def test_exception_in_a_command_exits_1_with_traceback_and_teardown():
+    child = run_entry(["bound", "--a2", "0.3", "--n", "10", "--eps", "0.1"], patch=FAILING_BOUND)
+    assert child.returncode == 1
+    assert child.stdout == b""
+    stderr = child.stderr.decode()
+    assert stderr.startswith("Traceback (most recent call last):\n")
+    assert stderr.endswith("RuntimeError: injected failure\natexit probe ran\n")

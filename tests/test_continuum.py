@@ -227,7 +227,10 @@ def reference_csv_samples(path):
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
     x = data[:, 0]
-    return x[0], (x[-1] - x[0]) / (len(x) - 1), data[:, 1] + 1j * data[:, 2]
+    # a non-finite sample is GridWavefunction's to reject, without numpy's warning for 1j * inf
+    with np.errstate(invalid="ignore"):
+        samples = data[:, 1] + 1j * data[:, 2]
+    return x[0], (x[-1] - x[0]) / (len(x) - 1), samples
 
 
 def test_csv_edge_files_match_per_cell_float_bit_for_bit(tmp_path):
@@ -371,6 +374,26 @@ def test_undecodable_file_fails_as_csv_iteration_does(tmp_path):
     with pytest.raises(UnicodeDecodeError) as raised:
         read_wavefunction_csv(str(path))
     assert str(raised.value) == str(expected.value)
+
+
+LONG_CELL = "0." + "0" * 199_998 + "1"  # 200,001 characters, past csv's field limit
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["x,re,im", "0.0,1.0,0.0", f"0.5,1.0,{LONG_CELL}"],
+        [f"x,re,{'i' * 200_001}", "0.0,1.0,0.0", "0.5,1.0,0.0"],
+        ["x,re,im", f'#"{LONG_CELL}', "0.0,1.0,0.0", "0.5,1.0,0.0"],
+    ],
+    ids=["last data line", "header", "quoted comment"],
+)
+def test_cell_past_the_csv_field_limit_is_a_value_error(tmp_path, lines):
+    path = tmp_path / "psi.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as raised:
+        read_wavefunction_csv(str(path))
+    assert str(raised.value) == f"{path}: field larger than field limit ({csv.field_size_limit()})"
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,14 @@
 """The tier-1 pytest settings report a failing hypothesis test as a failure, the
-benchmark checker's own tests pass, and the recorded hashes hold on numpy's loops
-without AVX-512."""
+benchmark checker's own tests pass, the recorded hashes hold on numpy's loops
+without AVX-512, and both ways of starting the CLI call one entry."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -74,3 +77,18 @@ def test_recorded_hashes_hold_without_avx512():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_script_entry_is_the_main_block_call():
+    # `freqborn` and `python -m freqborn.cli` end the process the same way
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        script = tomllib.load(handle)["project"]["scripts"]["freqborn"]
+    tree = ast.parse((ROOT / "src" / "freqborn" / "cli.py").read_text())
+    main_blocks = [
+        node for node in tree.body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    assert len(main_blocks) == 1
+    assert [ast.unparse(statement) for statement in main_blocks[0].body] == [f"{script.partition(':')[2]}()"]
+    assert script.partition(":")[0] == "freqborn.cli"
