@@ -162,18 +162,18 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
     decomp = decompose_multilevel(state, num_copies)
     # per-count values n and r = n/N; two-level row n is count n of level 0
     ns = range(num_copies + 1)
-    rs = (np.arange(num_copies + 1) / float(num_copies)).tolist()
+    rs = np.arange(num_copies + 1) / float(num_copies)
     if state.num_levels == 2:
         key_column, keys, freqs = "n", ns, rs
     else:
         key_column = "counts"
         keys = _joined_columns(ns, decomp.counts)
-        freqs = _joined_columns(rs, decomp.counts)
+        freqs = _joined_columns(rs.tolist(), decomp.counts)
     columns = {
         key_column: keys,
         "r": freqs,
-        "log_weight": decomp.log_weights.tolist(),
-        "weight": np.exp(decomp.log_weights).tolist(),
+        "log_weight": decomp.log_weights,
+        "weight": np.exp(decomp.log_weights),
     }
     emit(Table(columns, meta), output_format, out_path)
 
@@ -318,7 +318,7 @@ def finite_run(num_measurements, observed, num_runs, eps, a2, amps, renormalize,
         annotations["outer_mass_inside"] = window.mass_inside
         annotations["outer_mass_above"] = window.mass_above
         annotations["outer_chebyshev_bound"] = window.chebyshev_bound
-    columns = {"n": range(masses.size), "mass": masses.tolist()}
+    columns = {"n": range(masses.size), "mass": masses}
     emit(Table(columns, meta, annotations), output_format, out_path)
 
 

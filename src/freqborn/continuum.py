@@ -188,8 +188,9 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
     if len(rows) < 3:
         raise ValueError(f"{path}: need at least two sample rows")
     body = rows[1:]
-    # a quoted cell left open on the last line would run to the end of the file
-    _csv_rows(path, body[-1:])
+    # a quoted cell left open on the last line would run to the end of the file;
+    # only a line longer than csv's field limit, which numpy lacks, can hold a cell past it
+    _csv_rows(path, body if max(map(len, body)) > csv.field_size_limit() else body[-1:])
     try:
         data = np.loadtxt(
             _in_ascii_float_grammar(body), np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2

@@ -6,38 +6,46 @@ repr.  Files are written atomically (temp file in the target directory, then
 rename).
 
 Tables are columnar: ``Table.columns`` maps each column name, in document
-order, to its cells, as a list (typically from ``ndarray.tolist()``) or a
-``range``.  ``Table.rows`` transposes back to row tuples only for callers that
+order, to its cells, as a list, a ``range`` or a 1-D float or integer numpy
+array.  ``Table.rows`` transposes back to row tuples only for callers that
 count rows from outside the package; nothing in the package reads it.
 
-There is one row pipeline, ``render(parts)`` in ``_render_rows``: each column
-is formatted with one C-level call (``map(str, ...)`` for CSV, one
-``json.dumps`` for JSON), the formatted columns are zipped into rows, and
-each row becomes a line (``",".join``, or a JSON ``%`` template built once
-from the encoded column names, which reproduces what ``json.dumps(...,
-indent=2)`` prints for the row-dict layout), so no Python statement runs per
-row.  The serial path renders the columns as held.  A table of at least
-``SPLIT_ROWS`` rows is formatted in two processes: a forked child renders the
-``[half:]`` slices into a pipe, UTF-8 encoded, while this process renders the
-``[:half]`` slices, then reads the pipe to EOF and joins the halves, with the
-serial bytes.  The child is reaped on every path, an exception or an
-interrupt included.  The serial path runs instead below ``SPLIT_ROWS`` rows,
-where ``os.fork`` is missing, where the process may use only one CPU, and
-where the fork fails.  If the child exits nonzero (a NaN JSON cell, say), this
-process renders the upper half itself, so it raises what the serial path
-raises.
+There is one row pipeline, ``_render_rows``: the rows render in blocks of
+``BLOCK_ROWS`` from the columns' ``[start:start + BLOCK_ROWS]`` slices.  In a
+block each column is formatted with C-level calls (``float.__repr__`` on a
+float array's ``tolist()``, ``int.__repr__`` on a range or an integer array,
+``str`` or one ``json.dumps`` on other lists), the formatted columns are
+zipped into rows, and each row becomes a line (``",".join``, or a JSON ``%``
+template built once from the encoded column names, which reproduces what
+``json.dumps(..., indent=2)`` prints for the row-dict layout), so no Python
+statement runs per row.  In a float block only the span outside which every
+cell is +0.0 is formatted; the +0.0 cells around it (the sectors whose
+weight underflows) get the text ``0.0`` as is.  In JSON an infinity prints
+as ``null`` and a NaN cell raises ``ValueError``, as ``allow_nan=False`` does.
+
+A table of two or more blocks is rendered by two processes: a forked child
+renders the odd blocks and writes each to a pipe as a frame (an 8-byte
+length, then the UTF-8 text), while this process renders the even blocks and
+reads the frames in order.  Each process converts only its own blocks to
+Python objects, and the document is joined once, with the serial bytes.  The
+child is reaped on every path, an exception or an interrupt included.  The
+blocks render serially instead where ``os.fork`` is missing, where the
+process may use only one CPU, and where the fork fails.  If the child stops
+early (a NaN JSON cell, say), this process renders the blocks it did not
+send, so it raises what the serial path raises.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import __version__
 
@@ -47,19 +55,23 @@ SCHEMA_VERSION = "v1"
 # hold no raw newline and nested lines are indented deeper, so this line
 # occurs exactly once in a document.
 _ROWS_LINE = '\n  "rows": []'
-_INFINITY_TO_NULL = {"Infinity": "null", "-Infinity": "null"}
-# Tables with at least this many rows render their upper half in a forked child.
-SPLIT_ROWS = 2**16
+# json.dumps' and float.__repr__'s spellings of the infinities; a string cell is quoted
+_INFINITY_TO_NULL = {"Infinity": "null", "-Infinity": "null", "inf": "null", "-inf": "null"}
+_NAN_MESSAGE = "Out of range float values are not JSON compliant"
+# Rows render in blocks of this many; from two blocks on, a forked child renders the odd blocks.
+BLOCK_ROWS = 2**13
 
 
 @dataclass
 class Table:
     """One columnar result plus metadata and optional appended scalars.
 
-    ``columns`` maps each column name, in document order, to its cells:
-    scalars (int, float, str, bool or None), the same number in every
-    column.  ``annotations`` become trailing ``#key=value`` comment lines in
-    CSV and a top-level ``annotations`` object in JSON.
+    ``columns`` maps each column name, in document order, to its cells, the
+    same number in every column: a list of scalars (int, float, str, bool or
+    None), a ``range``, or a 1-D float or integer numpy array, whose cells are
+    the Python numbers of its ``tolist()``.  ``annotations`` become trailing
+    ``#key=value`` comment lines in CSV and a top-level ``annotations``
+    object in JSON.
     """
 
     columns: dict[str, Sequence]
@@ -79,27 +91,39 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separator: str) -> str:
-    """``row`` of each row's cell texts, ``cells`` of each column, joined by ``separator``.
+def _read_frame(pipe) -> str | None:
+    """The next block text the child sent, or None where its frames end early."""
+    header = pipe.read(8)
+    if len(header) < 8:
+        return None
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    return data.decode() if len(data) == size else None
 
-    A large table joins ``render`` of its ``[:half]`` and ``[half:]`` slices, the upper in a child.
+
+def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separator: str) -> list[str]:
+    """Each block's rows, as ``row`` of each row's cell texts joined by ``separator``.
+
+    ``cells`` formats one column's ``[start:start + BLOCK_ROWS]`` slice.  From
+    two blocks on, a forked child renders the odd blocks and sends each as a
+    frame (8-byte length, then the UTF-8 text) while this process renders the
+    even ones and reads the frames in order.
     """
 
-    def render(parts: Sequence[Sequence]) -> str:
-        return separator.join(map(row, zip(*map(cells, parts))))
+    def render(start: int) -> str:
+        stop = start + BLOCK_ROWS
+        return separator.join(map(row, zip(*[cells(column[start:stop]) for column in columns])))
 
-    size = len(columns[0])
-    # each half needs a row: a one-row table renders serially at any threshold
-    if size < max(SPLIT_ROWS, 2) or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return render(columns)
-    half = size // 2
+    starts = range(0, len(columns[0]), BLOCK_ROWS)
+    if len(starts) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return list(map(render, starts))
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
             # numpy's BLAS thread pool makes this process multi-threaded, and
             # Python >= 3.12 warns on fork() then.  The child is safe: it only
-            # formats Python objects it already holds, writes one pipe and
-            # leaves by os._exit, touching no lock another thread may hold.
+            # formats what it already holds, writes one pipe and leaves by
+            # os._exit, touching no lock another thread may hold.
             warnings.filterwarnings(
                 "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
             )
@@ -107,38 +131,73 @@ def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separa
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return render(columns)
+        return list(map(render, starts))
     if pid == 0:
         # the child: no stdio flush and no atexit handler, whatever happens
         code = 1
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(render([column[half:] for column in columns]).encode())
+                for start in starts[1::2]:
+                    data = render(start).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
+    blocks = []
     try:
         # on an exception the read end closes first, so a child still
         # writing fails at once and exits, and waitpid returns
         with open(read_end, "rb") as pipe:
-            lower = render([column[:half] for column in columns])
-            upper = pipe.read()
+            for index, start in enumerate(starts):
+                # a block the child did not send (a NaN JSON cell, say) renders here,
+                # so it raises what the serial path raises
+                text = _read_frame(pipe) if index % 2 else None
+                blocks.append(render(start) if text is None else text)
     finally:
-        _, status = os.waitpid(pid, 0)
-    if status != 0:
-        return separator.join((lower, render([column[half:] for column in columns])))
-    return separator.join((lower, upper.decode()))
+        os.waitpid(pid, 0)
+    return blocks
+
+
+def _float_texts(block: np.ndarray) -> list[str]:
+    """``float.__repr__`` of each cell; the +0.0 cells around all others get "0.0" without a call."""
+    # NaN compares unequal to 0.0 and -0.0 has its sign bit set
+    live = np.flatnonzero((block != 0.0) | np.signbit(block))
+    texts = ["0.0"] * len(block)
+    if live.size:
+        lo, hi = int(live[0]), int(live[-1]) + 1
+        texts[lo:hi] = map(float.__repr__, block[lo:hi].tolist())
+    return texts
+
+
+def _kind(block: Sequence) -> tuple[str, Sequence]:
+    """("f", block) for a float array, ("i", ints) for a range or an integer array, else ("o", cells)."""
+    if isinstance(block, range):
+        return "i", block
+    if isinstance(block, np.ndarray):
+        if block.dtype.kind == "f":
+            return "f", block
+        return ("i" if block.dtype.kind in "iu" else "o"), block.tolist()
+    return "o", block
+
+
+def _csv_cells(block: Sequence) -> Iterable[str]:
+    kind, cells = _kind(block)
+    if kind == "f":
+        return _float_texts(cells)
+    return map(int.__repr__ if kind == "i" else str, cells)
 
 
 def render_csv(table: Table) -> str:
     columns = list(table.columns.values())
     lines = [f"#schema={SCHEMA_VERSION}", ",".join(table.columns)]
     if len(columns[0]):
-        lines.append(_render_rows(columns, functools.partial(map, str), ",".join, "\n"))
+        lines += _render_rows(columns, _csv_cells, ",".join, "\n")
     lines.extend(f"#{key}={value}" for key, value in table.annotations.items())
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _jsonable(scalars: dict[str, Any]) -> dict[str, Any]:
@@ -149,22 +208,32 @@ def _jsonable(scalars: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _json_cells(column: Sequence) -> list[str]:
-    """Each cell of ``column`` as JSON text, from one C-encoder call on one copy (for ``range``).
+def _json_cells(block: Sequence) -> Iterable[str]:
+    """Each cell of ``block`` as JSON text; an infinity becomes ``null`` and NaN is rejected.
 
-    No encoded value holds a raw newline, so "\n" as item separator splits
-    the array exactly.  A non-finite float encodes as a bare ``Infinity``,
-    ``-Infinity`` or ``NaN`` (a string cell is always quoted): infinities
-    become ``null`` as :func:`_jsonable` makes them, and NaN is rejected as
-    ``allow_nan=False`` rejects it.
+    Numbers are formatted as the JSON encoder formats them.  Other cells come
+    from one C-encoder call on one copy of the block: no encoded value holds
+    a raw newline, so "\n" as item separator splits the array exactly, and a
+    non-finite float encodes as a bare ``Infinity``, ``-Infinity`` or ``NaN``
+    (a string cell is always quoted).  Infinities become ``null`` as
+    :func:`_jsonable` makes them, and NaN is rejected as ``allow_nan=False``
+    rejects it.
     """
-    encoded = json.dumps(list(column), separators=("\n", ":"))
-    cells = encoded[1:-1].split("\n")
-    if "NaN" in cells:
-        raise ValueError("Out of range float values are not JSON compliant")
-    if "Infinity" in encoded:
-        cells = list(map(_INFINITY_TO_NULL.get, cells, cells))
-    return cells
+    kind, cells = _kind(block)
+    if kind == "i":
+        return map(int.__repr__, cells)
+    if kind == "f":
+        if np.isnan(cells).any():
+            raise ValueError(_NAN_MESSAGE)
+        texts = _float_texts(cells)
+        infinite = np.isinf(cells).any()
+    else:
+        encoded = json.dumps(list(cells), separators=("\n", ":"))
+        texts = encoded[1:-1].split("\n")
+        if "NaN" in texts:
+            raise ValueError(_NAN_MESSAGE)
+        infinite = "Infinity" in encoded
+    return list(map(_INFINITY_TO_NULL.get, texts, texts)) if infinite else texts
 
 
 def render_json(table: Table) -> str:
@@ -182,8 +251,12 @@ def render_json(table: Table) -> str:
         f"      {json.dumps(column).replace('%', '%%')}: %s" for column in table.columns
     )
     template = "    {\n" + fields + "\n    }"
-    rows = _render_rows(columns, _json_cells, template.__mod__, ",\n")
-    return f'{head}\n  "rows": [\n{rows}\n  ]{tail}\n'
+    # the document in one join: the head, each block followed by its separator, the tail
+    parts = [f'{head}\n  "rows": [\n']
+    for block in _render_rows(columns, _json_cells, template.__mod__, ",\n"):
+        parts += (block, ",\n")
+    parts[-1] = f"\n  ]{tail}\n"
+    return "".join(parts)
 
 
 def _write_stdout(text: str) -> None:

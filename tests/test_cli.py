@@ -406,8 +406,9 @@ LONG_CELL = "0" * 200_001  # past csv's field limit of 131,072 characters
         # 1j * inf is nan + inf j, with numpy's invalid-value warning, unless checked first
         ("x,re,im\n0.0,1.0,inf\n0.5,1.0,0.0\n", "samples must be finite"),
         (f"x,re,im\n0.0,1.0,0.0\n0.5,1.0,{LONG_CELL}\n", "{path}: field larger than field limit (131072)"),
+        (f"x,re,im\n0.0,1.0,0.0\n0.5,{LONG_CELL}1,0.0\n1.0,1.0,0.0\n", "{path}: field larger than field limit (131072)"),
     ],
-    ids=["infinite im", "cell past the csv field limit"],
+    ids=["infinite im", "cell past the csv field limit", "cell past the csv field limit in a middle line"],
 )
 def test_cv_bad_sample_reports_one_line(tmp_path, text, message):
     path = tmp_path / "psi.csv"

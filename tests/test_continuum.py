@@ -385,8 +385,10 @@ LONG_CELL = "0." + "0" * 199_998 + "1"  # 200,001 characters, past csv's field l
         ["x,re,im", "0.0,1.0,0.0", f"0.5,1.0,{LONG_CELL}"],
         [f"x,re,{'i' * 200_001}", "0.0,1.0,0.0", "0.5,1.0,0.0"],
         ["x,re,im", f'#"{LONG_CELL}', "0.0,1.0,0.0", "0.5,1.0,0.0"],
+        # numpy's parser has no field limit, and it reads this line
+        ["x,re,im", "0.0,1.0,0.0", f"0.5,{LONG_CELL},0.0", "1.0,1.0,0.0"],
     ],
-    ids=["last data line", "header", "quoted comment"],
+    ids=["last data line", "header", "quoted comment", "middle data line"],
 )
 def test_cell_past_the_csv_field_limit_is_a_value_error(tmp_path, lines):
     path = tmp_path / "psi.csv"

@@ -17,6 +17,7 @@ from click.testing import CliRunner
 from numpy._core._multiarray_umath import __cpu_features__
 
 import freqborn
+from freqborn import output
 from freqborn.cli import main
 
 THREE_LEVEL = "0.6,0.6,0.5291502622129181"
@@ -111,14 +112,26 @@ def write_wavefunction(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_document_bytes_match_recorded_hash(name, tmp_path, monkeypatch):
-    args, expected = GOLDEN[name]
+def stdout_sha256(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_wavefunction(tmp_path / "psi.csv")
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     assert result.exit_code == 0, result.output
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == expected
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_bytes_match_recorded_hash(name, tmp_path, monkeypatch):
+    args, expected = GOLDEN[name]
+    assert stdout_sha256(args, tmp_path, monkeypatch) == expected
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_document_bytes_hold_in_four_row_blocks_over_two_processes(name, tmp_path, monkeypatch):
+    args, expected = GOLDEN[name]
+    monkeypatch.setattr(output, "BLOCK_ROWS", 4)
+    monkeypatch.setattr(output, "_usable_cpus", lambda: 2)
+    assert stdout_sha256(args, tmp_path, monkeypatch) == expected
 
 
 def test_reductions_print_the_same_bytes_under_another_blas_core(tmp_path):
