@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,10 +25,9 @@ UNIFORM_SPACING_RTOL = 1e-9
 
 # the lines that csv reads as an empty row
 _BLANK_LINES = frozenset(("\n", "\r\n", "\r"))
-# a PEP 515 underscore, which float() drops and numpy's parser rejects
-_DIGIT_UNDERSCORE = re.compile("(?<=[0-9])_(?=[0-9])")
-# ASCII characters that numpy's parser strips as spaces and float() does not
-_ASCII_SEPARATORS = "\x1c\x1d\x1e\x1f"
+# where csv.reader plus float() may read a file otherwise than numpy's parser: a quote, NUL
+# (a csv error before Python 3.11) and the separators numpy strips as spaces and float() rejects
+_CSV_ONLY = '"\0\x1c\x1d\x1e\x1f'
 
 
 class GridWavefunction:
@@ -118,91 +117,77 @@ class Region:
         return mask
 
 
-def _csv_rows(path: str, lines: list[str]) -> list[list[str]]:
-    """csv's rows for ``lines``, each of which must close every quoted cell it opens.
+def _loadtxt_samples(lines: list[str]) -> np.ndarray | None:
+    """The ``(rows, 3)`` samples of ``lines`` from one ``np.loadtxt`` call, or None.
 
-    csv lets an open quoted cell run on into the next lines, or to the end of
-    the file; this reader reads the file line by line, so it rejects that.
-    csv's own errors, such as a cell past its field limit, become ``ValueError``.
-    """
-    try:
-        rows = list(csv.reader([*lines, ""]))
-    except csv.Error as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if len(rows) != len(lines) + 1:
-        raise ValueError(f"{path}: a quoted cell does not close on its line")
-    return rows[:-1]
-
-
-def _is_comment(path: str, line: str) -> bool:
-    """Whether csv reads ``line`` as a row whose first cell starts with ``#`` after spaces."""
-    if '"' in line:
-        return _csv_rows(path, [line])[0][0].lstrip().startswith("#")
-    return line.lstrip().startswith("#")
-
-
-def _in_ascii_float_grammar(lines: list[str]) -> list[str]:
-    """``lines`` rewritten so that numpy's parser reads each cell as ``float()`` does.
-
-    Non-ASCII decimal digits become ASCII ones, and the ASCII separators
-    ``\\x1c``-``\\x1f``, which ``float()`` rejects and numpy strips, become ``?``.
-    Then PEP 515 underscores (one between two digits) are dropped; any other
-    underscore stays, and fails to parse as it fails in ``float()``.
+    Without a quote, NUL or ``\\x1c``-``\\x1f`` and without a line past csv's
+    field limit, csv splits each line at its commas, and wherever numpy's parser
+    reads a cell, ``float()`` reads the same double.  So where this parse
+    succeeds, it reads what :func:`_csv_samples` reads; None means only that it
+    failed or did not apply.
     """
     text = "".join(lines)
-    if not text.isascii() or any(ch in text for ch in _ASCII_SEPARATORS):
-        table = {ord(ch): str(int(ch)) for ch in set(text) if ch.isdecimal() and not ch.isascii()}
-        table.update(dict.fromkeys(map(ord, _ASCII_SEPARATORS), "?"))
-        lines = [line.translate(table) for line in lines]
-    if "_" in text:
-        lines = [_DIGIT_UNDERSCORE.sub("", line) for line in lines]
-    return lines
+    if any(ch in text for ch in _CSV_ONLY) or max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    rows = [
+        line
+        for line in lines
+        if line not in _BLANK_LINES and ("#" not in line or not line.lstrip().startswith("#"))
+    ]
+    if len(rows) < 3 or [cell.strip().lower() for cell in rows[0].split(",")] != ["x", "re", "im"]:
+        return None
+    try:
+        data = np.loadtxt(rows[1:], np.float64, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(rows) - 1, 3) else None
+
+
+def _csv_samples(path: str, lines: list[str]) -> np.ndarray:
+    """The ``(rows, 3)`` samples that ``csv.reader`` plus one ``float()`` per cell read from ``lines``.
+
+    Each failure raises ``ValueError`` with the reader's message, csv's own
+    errors (such as a cell past its field limit) included.
+    """
+    try:
+        rows = [row for row in csv.reader(lines) if row and not row[0].lstrip().startswith("#")]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty wavefunction file")
+    if [cell.strip().lower() for cell in rows[0]] != ["x", "re", "im"]:
+        raise ValueError(f"{path}: expected header x,re,im, got {rows[0]!r}")
+    if len(rows) < 3:
+        raise ValueError(f"{path}: need at least two sample rows")
+    body = rows[1:]
+    if any(len(row) != 3 for row in body):
+        raise ValueError(f"{path}: every row needs exactly three columns")
+    try:
+        cells = np.fromiter(map(float, chain.from_iterable(body)), np.float64, 3 * len(body))
+    except ValueError:
+        raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
+    return cells.reshape(-1, 3)
 
 
 def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunction:
     """Load a wavefunction from a CSV file with header ``x,re,im``.
 
-    Rows whose first cell starts with ``#`` and blank rows are skipped, and
-    every cell is read with the grammar of ``float()``.  The file is split
-    into lines where csv splits it (at ``\\r\\n``, ``\\r`` and ``\\n``), the header
-    is read with ``csv``, and the data lines with one ``np.loadtxt`` call that
-    quotes as csv does, after :func:`_in_ascii_float_grammar` rewrites what
-    ``float()`` accepts and numpy's parser does not.  A quoted cell must close
-    on its own line.  The grid coordinates must be finite and uniformly spaced
-    within 1e-9 relative tolerance.  Finite coordinates whose span overflows
-    the float range raise ``NormalizationError``.
+    The file means what ``csv.reader`` plus one ``float()`` per cell read from
+    it: rows whose first cell starts with ``#`` after spaces, and empty rows,
+    are skipped, and each message is theirs.  A file that holds no quote, NUL
+    or ``\\x1c``-``\\x1f`` and no line past csv's field limit is parsed with one
+    ``np.loadtxt`` call (:func:`_loadtxt_samples`); every other file, and every
+    file whose header or parse fails there, is read by :func:`_csv_samples`.
+    The grid coordinates must be finite and uniformly spaced within 1e-9
+    relative tolerance.  Finite coordinates whose span overflows the float
+    range raise ``NormalizationError``.
     """
     with open(path, newline="") as handle:
-        # csv's own line split: at \r\n, \r and \n only
+        # the lines that iterating the file for csv.reader gives, decoded in the same chunks
         lines = handle.readlines()
-    rows = [
-        line
-        for line in lines
-        if line not in _BLANK_LINES and ("#" not in line or not _is_comment(path, line))
-    ]
-    if not rows:
-        raise ValueError(f"{path}: empty wavefunction file")
-    header = _csv_rows(path, rows[:1])[0]
-    if [cell.strip().lower() for cell in header] != ["x", "re", "im"]:
-        raise ValueError(f"{path}: expected header x,re,im, got {header!r}")
-    if len(rows) < 3:
-        raise ValueError(f"{path}: need at least two sample rows")
-    body = rows[1:]
-    # a quoted cell left open on the last line would run to the end of the file;
-    # only a line longer than csv's field limit, which numpy lacks, can hold a cell past it
-    _csv_rows(path, body if max(map(len, body)) > csv.field_size_limit() else body[-1:])
-    try:
-        data = np.loadtxt(
-            _in_ascii_float_grammar(body), np.float64, delimiter=",", quotechar='"', comments=None, ndmin=2
-        )
-    except ValueError:
-        data = None
-    if data is None or data.shape != (len(body), 3):
-        # the first failure that csv.reader plus float() reports; numpy runs an
-        # open quoted cell on into the next line, which _csv_rows rejects
-        if any(len(row) != 3 for row in _csv_rows(path, body)):
-            raise ValueError(f"{path}: every row needs exactly three columns")
-        raise ValueError(f"{path}: non-numeric cell in wavefunction data")
+    data = _loadtxt_samples(lines)
+    if data is None:
+        data = _csv_samples(path, lines)
     x = data[:, 0]
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: grid coordinates must be finite")

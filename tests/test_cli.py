@@ -328,16 +328,16 @@ def test_cv_malformed_csv_is_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_cv_quoted_cell_across_lines_is_usage_error(runner, tmp_path):
-    # csv.reader plus float() would read the cell "1.0\n" as 1.0; the reader is line-based
+def test_cv_quoted_cell_across_lines_reads_as_csv_does(runner, tmp_path):
+    # csv.reader reads the cell "1.0\n", and float() reads it as 1.0
     path = tmp_path / "psi.csv"
+    args = ["cv", "--wavefunction", str(path), "--region", "0:1", "--n", "10", "--eps", "0.1", "--renormalize"]
     path.write_text('x,re,im\n0.0,"1.0\n",0.0\n0.5,1.0,0.0\n')
-    result = invoke(
-        runner,
-        ["cv", "--wavefunction", str(path), "--region", "0:1", "--n", "10", "--eps", "0.1", "--renormalize"],
-    )
-    assert result.exit_code == 2
-    assert result.output == f"error: {path}: a quoted cell does not close on its line\n"
+    quoted = invoke(runner, args)
+    path.write_text("x,re,im\n0.0,1.0,0.0\n0.5,1.0,0.0\n")
+    plain = invoke(runner, args)
+    assert quoted.exit_code == plain.exit_code == 0
+    assert quoted.output == plain.output
 
 
 def test_cv_rejects_nan_grid_point(runner, tmp_path):

@@ -1,7 +1,9 @@
 """Unit tests for the grid-wavefunction region reduction."""
 
 import csv
+import io
 import math
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqborn import continuum
 from freqborn.continuum import (
     GridWavefunction,
     Region,
@@ -273,73 +276,94 @@ LINE_ENDS = ("\n", "\r\n", "\r")
 
 
 @st.composite
-def spelled_number(draw, value):
-    """``value`` as text that float() reads back exactly."""
+def spelled_number(draw, value, plain):
+    """``value`` as text that float() reads back exactly, in ASCII digits without underscores if ``plain``."""
     text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.17g}"]))
-    if draw(st.booleans()):
+    if not plain and draw(st.booleans()):
         underscores = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
         text = text[0] + "".join(
             ("_" if before.isdigit() and ch.isdigit() and mark else "") + ch
             for before, ch, mark in zip(text, text[1:], underscores)
         )
-    if draw(st.booleans()):
+    if not plain and draw(st.booleans()):
         zero = draw(st.sampled_from(DIGIT_ZEROS))
         text = "".join(chr(zero + int(ch)) if ch in "0123456789" else ch for ch in text)
     return text
 
 
 @st.composite
-def csv_cell(draw, text):
-    """``text`` with spaces around it, and quoted or not (always when it holds a comma)."""
+def csv_cell(draw, text, plain):
+    """``text`` with spaces around it, quoted when it holds a comma, and else maybe unless ``plain``."""
     spaces = st.text(st.sampled_from(SPACES), max_size=2)
     text = draw(spaces) + text + draw(spaces)
-    if "," in text or draw(st.booleans()):
+    if "," in text or (not plain and draw(st.booleans())):
         text = f'"{text}"' + draw(st.sampled_from(["", " "]))
     return text
 
 
 FAULTS = (
     "ragged", "trailing comma", "whitespace row", "non-numeric", "separator", "space before quote",
-    "non-finite sample", "bad header", "one sample row", "no rows",
+    "non-finite sample", "bad header", "one sample row", "no rows", "quoted line break",
 )
+# comment rows whose quoted cell holds the line break {}; the last one stays open to the end of the file
+BROKEN_COMMENTS = ('#,"a{}b"', '"# a{}b",1,2', '  #"x{}",re', '#,"open{}')
 
 
 @st.composite
 def wavefunction_files(draw):
     """A wavefunction file as text, with at most one fault."""
     fault = draw(st.none() | st.sampled_from(FAULTS))
+    # a plain file (no quote, underscore or non-ASCII digit unless a fault adds one) takes the np.loadtxt path
+    plain = draw(st.booleans())
     size = 1 if fault == "one sample row" else draw(st.integers(2, 8))
     origin = draw(st.sampled_from([-1.0, 0.0, 0.3, 12.5]))
     spacing = draw(st.sampled_from([0.05, 0.1, 0.25, 1e-3]))
     amplitudes = st.floats(-10.0, 10.0, allow_nan=False)
     rows = []
     for k in range(size):
-        cells = [draw(spelled_number(value)) for value in (origin + k * spacing, draw(amplitudes), draw(amplitudes))]
-        rows.append([draw(csv_cell(cell)) for cell in cells])
+        values = (origin + k * spacing, draw(amplitudes), draw(amplitudes))
+        rows.append([draw(csv_cell(draw(spelled_number(value, plain)), plain)) for value in values])
     k = draw(st.integers(0, size - 1))
     if fault == "ragged":
-        rows[k] = rows[k][: draw(st.sampled_from([1, 2]))] if draw(st.booleans()) else [*rows[k], "0.0"]
+        # one row, or every row: numpy's parser reads rows all of one other width without an error
+        width = draw(st.sampled_from([1, 2, 4]))
+        for j in range(size) if draw(st.booleans()) else [k]:
+            rows[j] = rows[j][:width] if width < 3 else [*rows[j], "0.0"]
     elif fault == "trailing comma":
         rows[k] = [*rows[k], ""]
     elif fault == "non-numeric":
-        rows[k][draw(st.integers(0, 2))] = draw(csv_cell(draw(st.sampled_from(NON_NUMERIC))))
+        rows[k][draw(st.integers(0, 2))] = draw(csv_cell(draw(st.sampled_from(NON_NUMERIC)), plain))
     elif fault == "separator":
         separator = draw(st.sampled_from(SEPARATORS))
         rows[k][draw(st.integers(0, 2))] = draw(st.sampled_from([separator + "1.0", "1.0" + separator]))
     elif fault == "space before quote":
         rows[k][draw(st.integers(0, 2))] = ' "1.0"'
     elif fault == "non-finite sample":
-        rows[k][draw(st.integers(1, 2))] = draw(csv_cell(draw(st.sampled_from(NON_FINITE))))
+        rows[k][draw(st.integers(1, 2))] = draw(csv_cell(draw(st.sampled_from(NON_FINITE)), plain))
+    line_break = draw(st.sampled_from(LINE_ENDS))
+    place = draw(st.sampled_from(["data row", "header", "comment"])) if fault == "quoted line break" else None
+    if place == "data row":
+        j = draw(st.integers(0, 2))
+        text = rows[k][j].strip().strip('"')
+        rows[k][j] = f'"{line_break}{text}"' if draw(st.booleans()) else f'"{text}{line_break}"'
     lines = [",".join(row) for row in rows]
     if fault == "whitespace row":
         lines.insert(draw(st.integers(0, size)), draw(st.sampled_from(WHITESPACE_ROWS)))
     if fault == "no rows":
         lines = []
     else:
-        header = draw(st.sampled_from(["x,re,im", "X, Re ,IM", '"x","re","im"', "x,re,im "]))
+        header = draw(st.sampled_from(["x,re,im", "X, Re ,IM", "x,re,im ", *([] if plain else ['"x","re","im"'])]))
+        if place == "header":
+            names = ["x", "re", "im"]
+            j = draw(st.integers(0, 2))
+            names[j] = f'"{names[j]}{line_break}"'
+            header = ",".join(names)
         lines.insert(0, "x,real,imag" if fault == "bad header" else header)
+    if place == "comment":
+        comment = draw(st.sampled_from(BROKEN_COMMENTS)).format(line_break)
+        lines.insert(draw(st.integers(0, len(lines))), comment)
     for _ in range(draw(st.integers(0, 3))):
-        extra = draw(st.sampled_from(["", *COMMENTS]))
+        extra = draw(st.sampled_from(["", *(c for c in COMMENTS if not plain or '"' not in c)]))
         lines.insert(draw(st.integers(0, len(lines))), extra)
     ends = draw(st.sampled_from(LINE_ENDS + ("mixed",)))
     text = "".join(line + (draw(st.sampled_from(LINE_ENDS)) if ends == "mixed" else ends) for line in lines)
@@ -409,12 +433,53 @@ def test_cell_past_the_csv_field_limit_is_a_value_error(tmp_path, lines):
         # csv closes the cell at the end of the file
         'x,re,im\n0.0,1.0,0.0\n0.5,1.0,"0.0\n',
     ],
+    ids=["data-cell", "comment-to-the-end", "header-cell", "data-cell-to-the-end"],
 )
-def test_quoted_cell_must_close_on_its_line(tmp_path, text):
+def test_quoted_cell_across_lines_reads_as_csv_does(tmp_path, text):
     path = tmp_path / "psi.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match="a quoted cell does not close on its line"):
-        read_wavefunction_csv(str(path), renormalize=True)
+    expected = read_outcome(lambda: GridWavefunction(*reference_csv_samples(path), renormalize=True))
+    assert read_outcome(lambda: read_wavefunction_csv(str(path), renormalize=True)) == expected
+
+
+@pytest.mark.parametrize("ends", ["\r\n", "\r", "mixed"])
+def test_plain_numeric_file_never_reaches_the_csv_path(tmp_path, monkeypatch, ends):
+    # a silent fall-back to csv.reader would read the same samples at about twice the cost
+    def refuse(path, lines):
+        raise AssertionError("the plain file reached the csv.reader path")
+
+    values = np.random.default_rng(3).normal(size=(30, 2)) / math.sqrt(30 * 0.1 * 2)
+    lines = ["# leading comment", "", " X, Re ,IM\u3000"]
+    for k, (re, im) in enumerate(values.tolist()):
+        cells = (repr(-1.0 + 0.1 * k), repr(re), f"{im:.17e}")
+        pads = [SPACES[(3 * k + j) % len(SPACES)] for j in range(4)]
+        lines.append(",".join(pads[j] + cell + pads[j + 1] for j, cell in enumerate(cells)))
+        if k % 7 == 3:
+            lines += ["", "   # indented", "\u3000#x,re,im", "#x"]
+    ends = [LINE_ENDS[k % 3] for k in range(len(lines))] if ends == "mixed" else [ends] * len(lines)
+    path = tmp_path / "psi.csv"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode())
+    expected = read_outcome(lambda: GridWavefunction(*reference_csv_samples(path), renormalize=True))
+    monkeypatch.setattr(continuum, "_csv_samples", refuse)
+    psi = read_wavefunction_csv(str(path), renormalize=True)
+    assert psi.size == 30
+    assert read_outcome(lambda: psi) == expected
+
+
+def test_numpy_reads_a_cell_only_as_float_does():
+    # the premise of the loadtxt path: wherever numpy's parser reads a cell, float() reads the same double
+    above = (c for c in range(0x3000, sys.maxunicode + 1) if chr(c).isspace() or chr(c).isdecimal())
+    code_points = [*range(0x3000), *above]
+    read = []
+    for ch in map(chr, code_points):
+        for cell in (ch + "1.5", "1.5" + ch, "1" + ch + "5"):
+            lines = io.StringIO(f"x,re,im\n{cell},0,0\n1,0,0\n", newline="").readlines()
+            data = continuum._loadtxt_samples(lines)
+            if data is not None:
+                assert float(cell).hex() == float(data[0, 0]).hex(), repr(cell)
+                read.append(cell)
+    # spaces, signs and digits on either side, Unicode spaces included
+    assert {"\u30001.5", "1.5\u2003", "\x851.5", "-1.5", "51.5", "1.55", "155"} <= set(read)
 
 
 def test_reader_peak_memory_on_100000_rows(tmp_path):
