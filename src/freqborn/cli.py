@@ -8,6 +8,12 @@ tail weights, and the documents that print or sum them, are byte-identical
 only on the same CPU class.  As a process, the CLI flushes stdout and stderr and
 then ends without interpreter teardown (see :func:`run`), so no ``atexit``
 handler runs; calling :func:`main` from Python exits as usual.
+
+freqborn makes no BLAS call.  Importing this module loads numpy with one
+OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, and leaves that
+variable as it found it, so a CLI process and the renderer child it forks
+are single-threaded.  A process that loaded numpy before importing this
+module keeps its thread pool.
 """
 
 from __future__ import annotations
@@ -17,7 +23,17 @@ import os
 import sys
 
 import click
-import numpy as np
+
+# OpenBLAS reads its thread count once, as numpy loads: unless the caller
+# chose one, numpy loads with one thread and the variable goes again.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import __version__
 from .concentration import chebyshev_bound, convergence_scan

@@ -120,8 +120,9 @@ def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separa
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
-            # numpy's BLAS thread pool makes this process multi-threaded, and
-            # Python >= 3.12 warns on fork() then.  The child is safe: it only
+            # A CLI process loads numpy with one BLAS thread, but a library
+            # caller's numpy may run a thread pool, and Python >= 3.12 warns on
+            # fork() in a multi-threaded process.  The child is safe: it only
             # formats what it already holds, writes one pipe and leaves by
             # os._exit, touching no lock another thread may hold.
             warnings.filterwarnings(

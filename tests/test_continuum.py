@@ -230,10 +230,14 @@ def reference_csv_samples(path):
     except ValueError:
         raise ValueError(f"{path}: non-numeric cell in wavefunction data") from None
     x = data[:, 0]
+    spacing = (x[-1] - x[0]) / (len(x) - 1)
+    # the reader's grid rule: a comment whose quote a later quoted cell closes swallows the rows between
+    if not np.max(np.abs(np.diff(x) - spacing)) <= continuum.UNIFORM_SPACING_RTOL * spacing:
+        raise ValueError(f"{path}: grid spacing is not uniform within {continuum.UNIFORM_SPACING_RTOL} relative")
     # a non-finite sample is GridWavefunction's to reject, without numpy's warning for 1j * inf
     with np.errstate(invalid="ignore"):
         samples = data[:, 1] + 1j * data[:, 2]
-    return x[0], (x[-1] - x[0]) / (len(x) - 1), samples
+    return x[0], spacing, samples
 
 
 def test_csv_edge_files_match_per_cell_float_bit_for_bit(tmp_path):
@@ -305,7 +309,7 @@ FAULTS = (
     "ragged", "trailing comma", "whitespace row", "non-numeric", "separator", "space before quote",
     "non-finite sample", "bad header", "one sample row", "no rows", "quoted line break",
 )
-# comment rows whose quoted cell holds the line break {}; the last one stays open to the end of the file
+# comment rows whose quoted cell holds the line break {}; the last one stays open until a later quote
 BROKEN_COMMENTS = ('#,"a{}b"', '"# a{}b",1,2', '  #"x{}",re', '#,"open{}')
 
 
