@@ -3,11 +3,12 @@
 Exit codes: 0 success, 2 usage error, 3 capacity error, 4 numerical-contract
 violation.  Identical invocations produce byte-identical documents.  Across
 CPUs, every sum is exactly rounded and prints the same bits on any SIMD path
-or BLAS core; the kernel's ``exp`` and ``log`` follow numpy's SIMD loops, so
-tail weights, and the documents that print or sum them, are byte-identical
-only on the same CPU class.  As a process, the CLI flushes stdout and stderr and
-then ends without interpreter teardown (see :func:`run`), so no ``atexit``
-handler runs; calling :func:`main` from Python exits as usual.
+or BLAS core; the kernel's ``log`` and the one ``exp`` that makes each sector
+weight, in :class:`~freqborn.decomposition.FrequencyDecomposition`, follow
+numpy's SIMD loops, so tail weights, and the documents that print or sum them,
+are byte-identical only on the same CPU class.  As a process, the CLI flushes
+stdout and stderr and then ends without interpreter teardown (see :func:`run`),
+so no ``atexit`` handler runs; calling :func:`main` from Python exits as usual.
 
 freqborn makes no BLAS call.  Importing this module loads numpy with one
 OpenBLAS thread unless ``OPENBLAS_NUM_THREADS`` is set, and leaves that
@@ -189,7 +190,7 @@ def decompose(num_copies, a2, amps, renormalize, output_format, out_path):
         key_column: keys,
         "r": freqs,
         "log_weight": decomp.log_weights,
-        "weight": np.exp(decomp.log_weights),
+        "weight": decomp.weights,
     }
     emit(Table(columns, meta), output_format, out_path)
 
@@ -354,9 +355,7 @@ def oracle_check(num_copies, a2, amps, renormalize, output_format, out_path):
     closed = decompose_multilevel(state, num_copies)
     if not np.array_equal(closed.counts, oracle.counts):
         raise ContractError("sector enumerations disagree between routes")
-    deviation = float(
-        np.max(np.abs(np.exp(closed.log_weights) - np.exp(oracle.log_weights)))
-    )
+    deviation = float(np.max(np.abs(closed.weights - oracle.weights)))
     passed = deviation <= ORACLE_TOLERANCE
     meta = {"command": "oracle-check", **source, "n": num_copies}
     columns = {

@@ -79,7 +79,7 @@ def window_masses(
     check_eps(eps)
     if not math.isfinite(r0):
         raise ValueError(f"r0 must be finite, got {r0!r}")
-    num_copies, weights = decomp.num_copies, np.exp(decomp.log_weights)
+    num_copies, weights = decomp.num_copies, decomp.weights
     lower, upper = _decimal_edges(r0, eps)
     lo = min(max(math.ceil(num_copies * lower), 0), num_copies + 1)
     hi = min(max(math.floor(num_copies * upper), -1), num_copies)

@@ -106,14 +106,16 @@ class FrequencyDecomposition:
     """Sector weights of an N-copy state, in the natural-log domain.
 
     ``counts`` is the read-only ``(R, M)`` int64 occupation matrix, a
-    contiguous ascending run of the rows of ``compositions(N, M)``, and
-    ``log_weights[k]`` is the log weight of row ``k``.  The dense and oracle
-    routes cover every row; :func:`two_level_band` covers every row of
+    contiguous ascending run of the rows of ``compositions(N, M)``;
+    ``log_weights[k]`` is the log weight of row ``k``; and the read-only
+    ``weights`` is ``np.exp(log_weights)``, made once here: every linear
+    weight that freqborn reduces or prints is read from it.  The dense and
+    oracle routes cover every row; :func:`two_level_band` covers every row of
     nonzero weight.  Callers index a row by its counts, ``level_counts(0)``
     at M = 2, not by its position.
     """
 
-    __slots__ = ("num_copies", "level_probs", "log_weights", "counts")
+    __slots__ = ("num_copies", "level_probs", "log_weights", "weights", "counts")
 
     def __init__(
         self,
@@ -123,13 +125,12 @@ class FrequencyDecomposition:
         counts: np.ndarray,
     ):
         self.num_copies = int(num_copies)
-        probs = np.asarray(level_probs, dtype=np.float64)
-        probs.setflags(write=False)
-        self.level_probs = probs
-        log_weights.setflags(write=False)
+        self.level_probs = np.asarray(level_probs, dtype=np.float64)
         self.log_weights = log_weights
-        counts.setflags(write=False)
+        self.weights = np.exp(log_weights)
         self.counts = counts
+        for array in (self.level_probs, self.log_weights, self.weights, self.counts):
+            array.setflags(write=False)
 
     @property
     def num_levels(self) -> int:
@@ -180,10 +181,10 @@ def two_level_band(state: SingleCopyState, num_copies: int) -> FrequencyDecompos
         levels[0] = np.arange(lo, hi + 1)
         levels[1] = total - levels[0]
         log_weights = occupancy_log_weights(total, levels, state.level_probs)
-        ends = np.exp(log_weights[[0, -1]])
-        if (lo == 0 or ends[0] == 0.0) and (hi == total or ends[1] == 0.0):
-            # the transpose is the (R, 2) column-major layout of compositions
-            return FrequencyDecomposition(total, state.level_probs, log_weights, levels.T)
+        # the transpose is the (R, 2) column-major layout of compositions
+        window = FrequencyDecomposition(total, state.level_probs, log_weights, levels.T)
+        if (lo == 0 or window.weights[0] == 0.0) and (hi == total or window.weights[-1] == 0.0):
+            return window
         half *= 2
 
 
@@ -255,7 +256,7 @@ def decompose_multilevel(state: SingleCopyState, num_copies: int) -> FrequencyDe
 
 def total_mass(decomp: FrequencyDecomposition) -> float:
     """Exactly rounded sum of the linear sector weights; 1 within 1e-10 for valid states."""
-    return exact_sum(np.exp(decomp.log_weights))
+    return exact_sum(decomp.weights)
 
 
 def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentReport:
@@ -267,10 +268,9 @@ def frequency_moments(decomp: FrequencyDecomposition, level: int = 0) -> MomentR
     of weight 0.0 may be left out without moving a bit.
     """
     counts, prob = decomp.level_counts(level), float(decomp.level_probs[int(level)])
-    weights = np.exp(decomp.log_weights)
     r = counts / np.float64(decomp.num_copies)
-    mean = exact_sum(r * weights)
-    variance = exact_sum((r - prob) ** 2 * weights)
+    mean = exact_sum(r * decomp.weights)
+    variance = exact_sum((r - prob) ** 2 * decomp.weights)
     return MomentReport(mean, variance, prob * (1.0 - prob) / decomp.num_copies)
 
 

@@ -20,7 +20,7 @@ def finite_run_distribution(state: SingleCopyState, num_measurements: int) -> np
     band = two_level_band(state, num_measurements)
     first = int(band.level_counts(0)[0])
     masses = np.zeros(band.num_copies + 1)
-    np.exp(band.log_weights, out=masses[first : first + band.num_sectors])
+    masses[first : first + band.num_sectors] = band.weights
     masses.setflags(write=False)
     return masses
 

@@ -54,6 +54,7 @@ def test_band_route_matches_dense_route_bitwise(prob, copies):
     ns = band.level_counts(0)
     assert band.counts.tobytes() == dense.counts[ns].tobytes()
     assert band.log_weights.tobytes() == dense.log_weights[ns].tobytes()
+    assert band.weights.tobytes() == dense.weights[ns].tobytes()
     assert not np.any(np.delete(dense_weights, ns))
     for level in range(2):
         level_prob = float(state.level_probs[level])
@@ -108,7 +109,7 @@ def test_band_routes_allocate_no_dense_array(route):
 def test_band_weights_are_read_only():
     state = SingleCopyState.from_alpha_probability(0.3)
     band = two_level_band(state, 10)
-    for weights in (band.counts, band.log_weights, finite_run_distribution(state, 10)):
+    for weights in (band.counts, band.log_weights, band.weights, finite_run_distribution(state, 10)):
         with pytest.raises(ValueError):
             weights[0] = 1.0
 

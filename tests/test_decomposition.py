@@ -566,3 +566,21 @@ def test_log_weights_are_immutable():
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 3)
     with pytest.raises(ValueError):
         decomp.log_weights[0] = 0.0
+
+
+# the band at N = 10^5 starts past n = 0; the oracle's weights are exp(log(mass))
+WEIGHT_ROUTES = {
+    "dense two-level": lambda: decompose_two_level(TWO, 2090),
+    "dense three-level": lambda: decompose_multilevel(THREE, 40),
+    "band": lambda: two_level_band(TWO, 10**5),
+    "oracle": lambda: brute_force_decompose(SingleCopyState([0.6, 0.8j]), 12),
+}
+
+
+@pytest.mark.parametrize("route", sorted(WEIGHT_ROUTES))
+def test_every_route_carries_read_only_weights_equal_to_exp_of_its_log_weights(route):
+    decomp = WEIGHT_ROUTES[route]()
+    assert decomp.weights.dtype == np.float64
+    assert decomp.weights.tobytes() == np.exp(decomp.log_weights).tobytes()
+    with pytest.raises(ValueError):
+        decomp.weights[0] = 1.0

@@ -1,6 +1,7 @@
 """The tier-1 pytest settings report a failing hypothesis test as a failure, the
 benchmark checker's own tests pass, the recorded hashes hold on numpy's loops
-without AVX-512, and both ways of starting the CLI call one entry."""
+without AVX-512, both ways of starting the CLI call one entry, and a log weight
+becomes a weight in one place."""
 
 import ast
 import os
@@ -92,3 +93,19 @@ def test_script_entry_is_the_main_block_call():
     assert len(main_blocks) == 1
     assert [ast.unparse(statement) for statement in main_blocks[0].body] == [f"{script.partition(':')[2]}()"]
     assert script.partition(":")[0] == "freqborn.cli"
+
+
+def exp_sites(node, scope):
+    """The enclosing definition of every reference to numpy's ``exp`` below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Attribute) and ast.unparse(child) in ("np.exp", "numpy.exp"):
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from exp_sites(child, f"{scope}.{child.name}" if named else scope)
+
+
+def test_a_log_weight_becomes_a_weight_in_one_place():
+    # so the rounding of every linear weight is decided on one line
+    package = ROOT / "src" / "freqborn"
+    sites = [site for path in sorted(package.glob("*.py")) for site in exp_sites(ast.parse(path.read_text()), path.stem)]
+    assert sites == ["decomposition.FrequencyDecomposition.__init__"]
