@@ -6,12 +6,15 @@ nonzero two-level weights and returns those rows alone, as a
 dense rows.  Every reduction is an exactly rounded sum, which ignores the
 order of its terms and the 0.0 weights outside the band, so the same
 reduction over the band and over all N + 1 rows of the dense
-``decompose_two_level`` route must print the same bits.
+``decompose_two_level`` route must print the same bits.  Each side of a
+window is also checked against a 50-digit reference that shares no code
+with the kernel.
 """
 
 import dataclasses
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +135,59 @@ def test_band_route_keeps_the_dense_guards(state, copies, error, message):
         with pytest.raises(error) as raised:
             route(state, copies)
         assert str(raised.value) == message
+
+
+# --- each side of a window against an independent reference -----------------------
+
+
+def reference_sides(prob, copies, counts, eps):
+    """(below, inside, above) of the two-level weights over ``counts`` at the window p +- eps,
+    to 50 digits.
+
+    The weights come from the ratio recurrence W(n + 1) / W(n) = (N - n) (p/q) / (n + 1),
+    p/q = Fraction(p) / Fraction(1.0 - p), run outward from the mode and normalized by their
+    own sum, so no factorial enters.  A count is inside iff p - eps <= n/N <= p + eps for the
+    decimals that p and eps print.
+    """
+    ratio = Fraction(prob) / Fraction(1.0 - prob)
+    lower, upper = Fraction(repr(prob)) - Fraction(repr(eps)), Fraction(repr(prob)) + Fraction(repr(eps))
+    lo, hi = math.ceil(copies * lower), math.floor(copies * upper)
+    first, last = int(counts[0]), int(counts[-1])
+    mode = min(max(math.floor((copies + 1) * ratio / (1 + ratio)), first), last)
+    with localcontext() as context:
+        context.prec = 50
+        step = Decimal(ratio.numerator) / Decimal(ratio.denominator)
+        weights = {mode: Decimal(1)}
+        for n in range(mode, last):
+            weights[n + 1] = weights[n] * (copies - n) * step / (n + 1)
+        for n in range(mode, first, -1):
+            weights[n - 1] = weights[n] * n / ((copies - n + 1) * step)
+        sides = [Decimal(0)] * 3
+        for n, weight in weights.items():
+            sides[(n >= lo) + (n > hi)] += weight
+        total = sum(sides)
+        return [side / total for side in sides]
+
+
+# The worst relative error measured per side is (below, inside, above); both outer sides
+# err by the kernel's slope in the log weight away from the mode (ROADMAP item 8).
+@pytest.mark.parametrize(
+    "prob, copies, eps",
+    [
+        (0.3, 5 * 10**6, 0.001),  # 1.38e-13, 2.97e-16, 1.37e-13
+        (0.6437, 5 * 10**6, 0.001),  # 3.01e-13, 3.01e-16, 3.02e-13
+        (0.3, 10**5, 0.005),  # 1.44e-14, 6.94e-16, 1.40e-14
+        (0.05, 10**3, 0.02),  # 1.2e-16, 2.2e-16, 5.1e-17
+    ],
+)
+def test_window_sides_match_a_50_digit_ratio_recurrence(prob, copies, eps):
+    band = two_level_band(SingleCopyState.from_alpha_probability(prob), copies)
+    window = window_masses(band, 0, prob, eps)
+    got = (window.mass_below, window.mass_inside, window.mass_above)
+    exact = reference_sides(prob, copies, band.level_counts(0), eps)
+    errors = [float(abs(Decimal(value) - side) / side) for value, side in zip(got, exact)]
+    assert errors[0] <= 1e-12 and errors[2] <= 1e-12, errors
+    assert errors[1] <= 1e-14, errors
 
 
 # --- the exactly rounded sum ------------------------------------------------------

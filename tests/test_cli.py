@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-import freqborn
+from conftest import child_env
 from freqborn.cli import main
 from freqborn.concentration import chebyshev_bound
 from freqborn.decomposition import SingleCopyState
@@ -370,10 +370,8 @@ def test_cv_rejects_nan_first_or_last_grid_point(runner, tmp_path, line):
 
 
 def run_cli(*args):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "freqborn.cli", *args], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-m", "freqborn.cli", *args], env=child_env(), capture_output=True, text=True, timeout=60
     )
 
 
@@ -563,19 +561,28 @@ def test_capacity_errors_name_counts_beyond_the_str_limit(runner, args, needs):
     assert result.stderr.startswith(f"capacity error: {needs}, above the limit of ")
 
 
-def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch):
+@pytest.mark.parametrize("damage", ["log_weights", "counts"])
+def test_oracle_check_failure_exits_with_contract_code(runner, monkeypatch, damage):
     import freqborn.cli as cli_module
 
     true_decompose = cli_module.decompose_multilevel
 
-    def skewed(state, copies):
+    def damaged(state, copies):
         decomp = true_decompose(state, copies)
-        damaged = decomp.log_weights + 1e-9
-        return type(decomp)(copies, state.level_probs, damaged, decomp.counts)
+        log_weights, counts = decomp.log_weights, decomp.counts
+        if damage == "log_weights":
+            log_weights = log_weights + 1e-9
+        else:
+            counts = counts[::-1]  # the same sectors, their rows permuted
+        return type(decomp)(copies, state.level_probs, log_weights, counts)
 
-    monkeypatch.setattr(cli_module, "decompose_multilevel", skewed)
+    monkeypatch.setattr(cli_module, "decompose_multilevel", damaged)
     result = invoke(runner, ["oracle-check", "--a2", "0.3", "--n", "6"])
     assert result.exit_code == 4
+    if damage == "counts":
+        assert result.stdout == ""
+        assert result.stderr == "numerical contract violation: sector enumerations disagree between routes\n"
+        return
     columns, rows, _ = parse_csv(result.stdout)
     assert rows[0][columns.index("status")] == "FAIL"
     deviation = rows[0][columns.index("max_abs_deviation")]
@@ -648,20 +655,6 @@ def test_command_help_documents_columns(runner):
     assert "log_weight" in result.output
 
 
-def test_cli_import_does_not_load_scipy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import sys, freqborn.cli; "
-        "print(','.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == ""
-
-
 def test_cli_overflowing_renormalize_reports_one_line():
     child = run_cli("decompose", "--amps", "1e200,1e200", "--n", "2", "--renormalize")
     assert child.returncode == 4
@@ -690,10 +683,9 @@ freqborn.concentration.chebyshev_bound = chebyshev_bound
 
 
 def run_entry(args, patch="", cwd=None):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-c", ENTRY.format(patch=patch), *args], env=env, cwd=cwd, capture_output=True, timeout=60
+        [sys.executable, "-c", ENTRY.format(patch=patch), *args], env=child_env(), cwd=cwd, capture_output=True,
+        timeout=60,
     )
 
 

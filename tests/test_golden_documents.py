@@ -8,7 +8,6 @@ change, and say so in the change log.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 
@@ -16,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from numpy._core._multiarray_umath import __cpu_features__
 
-import freqborn
+from conftest import child_env
 from freqborn import output
 from freqborn.cli import main
 
@@ -140,13 +139,9 @@ def test_reductions_print_the_same_bytes_under_another_blas_core(tmp_path):
     # (also the one picked on AMD Zen); an exactly rounded sum prints one set of bits.
     write_wavefunction(tmp_path / "psi.csv")
     args = ["cv", "--wavefunction", "psi.csv", "--region", "0:0.25", "--n", "1000000", "--eps", "0.05", "--renormalize"]
-    src = os.path.dirname(os.path.dirname(freqborn.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env.pop("OPENBLAS_CORETYPE", None)
     documents = []
     for core in (None, "Haswell"):
-        child_env = env if core is None else {**env, "OPENBLAS_CORETYPE": core}
-        child = subprocess.run([sys.executable, "-m", "freqborn.cli", *args], cwd=tmp_path, env=child_env,
-                               capture_output=True, check=True)
+        child = subprocess.run([sys.executable, "-m", "freqborn.cli", *args], cwd=tmp_path,
+                               env=child_env(OPENBLAS_CORETYPE=core), capture_output=True, check=True)
         documents.append(child.stdout)
     assert documents[0] == documents[1]

@@ -3,19 +3,18 @@ and every function, class, method and property it defines has a user.
 
 Read from the source with ``ast``, so nothing is imported or run.  An
 imported name counts as used when it appears as an identifier anywhere in
-the module, or, in the package's ``__init__``, when ``__all__`` exports it.
-A definition has a user when the package outside ``__init__`` reads its name
-(as an identifier or an attribute) somewhere outside the definition itself,
-or when ``README.md`` or ``bench/tracer.py`` mention it.  Dunder methods and
-click commands are exempt: Python and click call them.
+the module.  A definition has a user when the package outside ``__init__``
+reads its name (as an identifier or an attribute) somewhere outside the
+definition itself, or when ``README.md`` or ``bench/tracer.py`` mention it.
+Dunder methods and click commands are exempt: Python and click call them.
 
-Importing ``freqborn.cli`` in a fresh interpreter loads no process-pool
-module: the benchmark's ``setup_s`` times that import.  It also leaves the
-process with one thread: the CLI loads numpy with one OpenBLAS thread unless
-``OPENBLAS_NUM_THREADS`` is set, and leaves that variable as it found it.
-That works only because ``import freqborn`` loads nothing else: the package
-resolves each ``__all__`` name from its home module on first access, so its
-``__init__`` imports no module of the package.
+Importing ``freqborn.cli`` in a fresh interpreter loads neither scipy nor a
+process-pool module: the benchmark's ``setup_s`` times that import.  It also
+leaves the process with one thread: the CLI loads numpy with one OpenBLAS
+thread unless ``OPENBLAS_NUM_THREADS`` is set, and leaves that variable as it
+found it.  That works only because ``import freqborn`` loads nothing else:
+the package resolves each ``__all__`` name from its home module on first
+access, so its ``__init__`` imports no module of the package.
 """
 
 import ast
@@ -30,6 +29,7 @@ from pathlib import Path
 import pytest
 
 import freqborn
+from conftest import child_env
 from freqborn import output
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,21 +49,11 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-def exported_names(tree):
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return set()
-
-
 def test_every_imported_name_is_used():
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        used |= exported_names(tree)
         unused += [f"{path.stem}.{name}" for name in imported_names(tree) if name not in used]
     assert unused == []
 
@@ -103,25 +93,27 @@ def test_every_definition_is_used_outside_itself():
     assert unused == []
 
 
-def run_child(code, **env):
-    """The stdout of a fresh interpreter running ``code`` with ``env`` set.
+def run_child(code, **changes):
+    """The stdout of a fresh interpreter running ``code`` with ``changes`` made
+    to its environment.
 
     ``OPENBLAS_NUM_THREADS`` is removed from the child's environment unless
-    ``env`` sets it.
+    ``changes`` sets it.
     """
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    environ = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     child = subprocess.run(
-        [sys.executable, "-c", code], env=dict(environ, PYTHONPATH=path, **env),
+        [sys.executable, "-c", code], env=child_env(**{"OPENBLAS_NUM_THREADS": None, **changes}),
         capture_output=True, text=True, timeout=60,
     )
     assert child.returncode == 0, child.stderr
     return child.stdout
 
 
-def test_cli_import_loads_no_process_pool_module():
-    modules = ("multiprocessing", "concurrent.futures", "subprocess")
-    code = f"import sys, freqborn.cli; print([m for m in {modules!r} if m in sys.modules])"
+def test_cli_import_loads_no_scipy_nor_process_pool_module():
+    forbidden = ("scipy", "multiprocessing", "concurrent.futures", "subprocess")
+    code = (
+        "import sys, freqborn.cli; "
+        f"print(sorted(m for m in sys.modules if any(m == f or m.startswith(f + '.') for f in {forbidden!r})))"
+    )
     assert run_child(code) == "[]\n"
 
 
@@ -135,8 +127,7 @@ def test_cli_import_leaves_one_thread_unless_the_caller_chose(blas_threads):
         "import os, freqborn.cli; "
         "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
     )
-    env = {} if blas_threads is None else {"OPENBLAS_NUM_THREADS": blas_threads}
-    threads, kept = run_child(code, **env).split()
+    threads, kept = run_child(code, OPENBLAS_NUM_THREADS=blas_threads).split()
     assert kept == str(blas_threads)
     if blas_threads is None:
         assert threads == "1"
@@ -176,6 +167,12 @@ def test_every_exported_name_is_its_home_modules_object():
     for name in freqborn.__all__:
         home = freqborn if name == "__version__" else importlib.import_module(homes[name])
         assert getattr(freqborn, name) is getattr(home, name), name
+
+
+def test_package_init_writes_each_public_name_once():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    written = Counter(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
+    assert [name for name in freqborn.__all__ if written[name] != 1] == []
 
 
 def test_package_dir_covers_all_and_unknown_names_raise():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import freqborn
+from conftest import child_env
 from freqborn import __version__ as VERSION
 from freqborn import output
 from freqborn.output import SCHEMA_VERSION, Table, render_csv, render_json, write_text
@@ -193,17 +193,10 @@ def test_text_only_stdout_gets_the_text(monkeypatch):
     assert stream.getvalue() == "a,b\n1,2\n"
 
 
-def child_env(**extra):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(freqborn.__file__)))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("PYTHONUNBUFFERED", None)
-    return {**env, **extra}
-
-
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_stdout_closed_early_exits_2(unbuffered):
     # an 8 MB document: the reader closes after 100 bytes, so the write breaks the pipe
-    env = child_env(**({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    env = child_env(PYTHONUNBUFFERED="1" if unbuffered else None)
     command = [sys.executable, "-m", "freqborn.cli", "decompose", "--a2", "0.3", "--n", "200000"]
     with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
         assert len(child.stdout.read(100)) == 100
@@ -217,10 +210,12 @@ def test_stdout_closed_early_exits_2(unbuffered):
 def test_stdout_documents_are_the_out_file_bytes(tmp_path):
     args = ["decompose", "--amps", "0.6,0.8i", "--n", "300", "--format", "json"]
     run = [sys.executable, "-m", "freqborn.cli", *args]
-    subprocess.run([*run, "--out", "doc.json"], cwd=tmp_path, env=child_env(), check=True, timeout=60)
+    subprocess.run([*run, "--out", "doc.json"], cwd=tmp_path, env=child_env(PYTHONUNBUFFERED=None), check=True,
+                   timeout=60)
     expected = (tmp_path / "doc.json").read_bytes()
-    for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
-        child = subprocess.run(run, cwd=tmp_path, env=child_env(**extra), capture_output=True, timeout=60)
+    for unbuffered in (None, "1"):
+        child = subprocess.run(run, cwd=tmp_path, env=child_env(PYTHONUNBUFFERED=unbuffered), capture_output=True,
+                               timeout=60)
         assert child.returncode == 0, child.stderr
         assert child.stdout == expected
 

@@ -4,19 +4,15 @@ without AVX-512, both ways of starting the CLI call one entry, and a log weight
 becomes a weight in one place."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def env_with_src(**extra) -> dict:
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
 
 
 FAILING_PROPERTY = """
@@ -53,7 +49,7 @@ def test_benchmark_checker_suite_passes():
         capture_output=True,
         text=True,
         cwd=ROOT,
-        env=env_with_src(),
+        env=child_env(),
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
@@ -65,7 +61,7 @@ HASH_MODULES = ("tests/test_combinatorics.py", "tests/test_golden_documents.py")
 
 
 def test_recorded_hashes_hold_without_avx512():
-    env = env_with_src(NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    env = child_env(NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
     probe = "from numpy._core._multiarray_umath import __cpu_features__; print(__cpu_features__['AVX512_SKX'])"
     path = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert path.stdout.strip() == "False"
