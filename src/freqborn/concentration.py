@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .decomposition import FrequencyDecomposition, SingleCopyState, two_level_band
-from .errors import check_copies, check_eps, check_whole, exact_sum, unit_mass
+from .errors import check_a_sq, check_copies, check_eps, check_whole, exact_sum, unit_mass
 
 LOCALIZATION_INPUT_TOLERANCE = 1e-6
 _LARGEST_DOUBLE = Fraction(np.finfo(np.float64).max)
@@ -55,9 +55,7 @@ class LocalizationVerdict:
 
 def chebyshev_bound(a_sq: float, num_copies: int, eps: float) -> float:
     """Tail bound a_sq (1 - a_sq) / (eps^2 N) on the mass outside the window."""
-    a_sq = float(a_sq) + 0.0  # a -0.0 input bounds by 0.0, not -0.0
-    if not 0.0 <= a_sq <= 1.0:
-        raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
+    a_sq = check_a_sq(a_sq)  # a -0.0 input bounds by 0.0, not -0.0
     check_eps(eps)
     num_copies = check_copies(num_copies)
     # left-to-right division keeps round cases like (0.5, 100, 0.1) -> 0.25 exact

@@ -200,10 +200,9 @@ def read_wavefunction_csv(path: str, renormalize: bool = False) -> GridWavefunct
         raise NormalizationError(f"{path}: the grid span overflows, so the total grid mass is inf")
     if not np.max(np.abs(np.diff(x) - spacing)) <= UNIFORM_SPACING_RTOL * spacing:
         raise ValueError(f"{path}: grid spacing is not uniform within {UNIFORM_SPACING_RTOL} relative")
-    # before the product, where 1j * inf would warn of an invalid value
-    if not np.all(np.isfinite(data[:, 1:])):
-        raise ValueError("samples must be finite")
-    samples = data[:, 1] + 1j * data[:, 2]
+    # a non-finite sample is GridWavefunction's to reject, without numpy's warning for 1j * inf
+    with np.errstate(invalid="ignore"):
+        samples = data[:, 1] + 1j * data[:, 2]
     return GridWavefunction(float(x[0]), spacing, samples, renormalize=renormalize)
 
 

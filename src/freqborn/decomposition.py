@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .combinatorics import LOG_ZERO, occupancy_log_weights
-from .errors import check_capacity, check_copies, check_whole, exact_sum, unit_mass
+from .errors import check_a_sq, check_capacity, check_copies, check_whole, exact_sum, unit_mass
 
 STATE_NORM_TOLERANCE = 1e-9
 
@@ -48,11 +48,7 @@ class SingleCopyState:
             raise ValueError("need a one-dimensional amplitude vector with at least two levels")
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        amps, probs = unit_mass(amps, 1.0, STATE_NORM_TOLERANCE, renormalize, "squared amplitude")
-        amps.setflags(write=False)
-        probs.setflags(write=False)
-        self.amplitudes = amps
-        self.level_probs = probs
+        self._freeze(*unit_mass(amps, 1.0, STATE_NORM_TOLERANCE, renormalize, "squared amplitude"))
 
     @classmethod
     def from_probabilities(cls, probs: Sequence[float], renormalize: bool = False) -> "SingleCopyState":
@@ -65,20 +61,20 @@ class SingleCopyState:
         if np.any(p < 0.0):
             raise ValueError("probabilities must be nonnegative")
         p, _ = unit_mass(p, 1.0, STATE_NORM_TOLERANCE, renormalize, "probability")
-        state = cls.__new__(cls)
-        amps = np.sqrt(p).astype(np.complex128)
-        amps.setflags(write=False)
-        p.setflags(write=False)
-        state.amplitudes = amps
-        state.level_probs = p
-        return state
+        return cls.__new__(cls)._freeze(np.sqrt(p).astype(np.complex128), p)
+
+    def _freeze(self, amplitudes: np.ndarray, level_probs: np.ndarray) -> "SingleCopyState":
+        """Hold both arrays, made read-only; return this state."""
+        amplitudes.setflags(write=False)
+        level_probs.setflags(write=False)
+        self.amplitudes = amplitudes
+        self.level_probs = level_probs
+        return self
 
     @classmethod
     def from_alpha_probability(cls, a_sq: float) -> "SingleCopyState":
         """Two-level state whose designated outcome carries probability ``a_sq``."""
-        a_sq = float(a_sq)
-        if not 0.0 <= a_sq <= 1.0:
-            raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
+        a_sq = check_a_sq(a_sq)
         return cls.from_probabilities([a_sq, 1.0 - a_sq])
 
     @property

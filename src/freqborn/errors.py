@@ -1,4 +1,4 @@
-"""Exception types, the capacity, eps, whole-number, copy-count and unit-mass gates, and the one sum, shared across the package."""
+"""Exception types, the capacity, eps, probability, whole-number, copy-count and unit-mass gates, and the one sum, shared across the package."""
 
 from __future__ import annotations
 
@@ -37,9 +37,9 @@ def exact_sum(values: np.ndarray) -> float:
     sums to +0.0), nor on numpy's SIMD loops or the BLAS core.  Zeros are
     dropped and the rest fed in descending order, largest first for the
     nonnegative masses every caller passes, which keeps fsum's partials
-    short: on the band of nonzero weights at N = 5e6 that is about 20 times
-    faster than count order.  A nan or an infinity decides the sum as in
-    IEEE addition.
+    short: on the 78,695 nonzero weights of the p = 0.3 band at N = 5e6 that
+    is about 11 times faster than count order (7 against 75 ms on an x86-64
+    Xeon).  A nan or an infinity decides the sum as in IEEE addition.
     """
     special = values[~np.isfinite(values)].tolist()
     if special:
@@ -67,6 +67,14 @@ def check_capacity(requested: int, limit: int, what: str, unit: str) -> None:
 def check_eps(eps: float) -> None:
     if not eps > 0.0:
         raise ValueError(f"eps must be positive, got {eps!r}")
+
+
+def check_a_sq(a_sq) -> float:
+    """``a_sq`` as a float in [0, 1], -0.0 read as 0.0, or a ValueError."""
+    a_sq = float(a_sq) + 0.0
+    if not 0.0 <= a_sq <= 1.0:
+        raise ValueError(f"a_sq must lie in [0, 1], got {a_sq!r}")
+    return a_sq
 
 
 def check_whole(value, what: str) -> int:

@@ -192,10 +192,8 @@ def _csv_cells(block: Sequence) -> Iterable[str]:
 
 
 def render_csv(table: Table) -> str:
-    columns = list(table.columns.values())
     lines = [f"#schema={SCHEMA_VERSION}", ",".join(table.columns)]
-    if len(columns[0]):
-        lines += _render_rows(columns, _csv_cells, ",".join, "\n")
+    lines += _render_rows(list(table.columns.values()), _csv_cells, ",".join, "\n")
     lines.extend(f"#{key}={value}" for key, value in table.annotations.items())
     lines.append("")
     return "\n".join(lines)

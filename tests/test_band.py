@@ -7,8 +7,8 @@ dense rows.  Every reduction is an exactly rounded sum, which ignores the
 order of its terms and the 0.0 weights outside the band, so the same
 reduction over the band and over all N + 1 rows of the dense
 ``decompose_two_level`` route must print the same bits.  Each side of a
-window is also checked against a 50-digit reference that shares no code
-with the kernel.
+window, the moments and the surprise index are also checked against a
+50-digit reference that shares no code with the kernel.
 """
 
 import dataclasses
@@ -137,57 +137,110 @@ def test_band_route_keeps_the_dense_guards(state, copies, error, message):
         assert str(raised.value) == message
 
 
-# --- each side of a window against an independent reference -----------------------
+# --- each side of a window, the moments and the surprise index against an independent reference --
 
 
-def reference_sides(prob, copies, counts, eps):
-    """(below, inside, above) of the two-level weights over ``counts`` at the window p +- eps,
-    to 50 digits.
+def reference_weights(prob, copies, counts):
+    """The two-level weights at ``counts``, a contiguous ascending run, to 50 digits.
 
-    The weights come from the ratio recurrence W(n + 1) / W(n) = (N - n) (p/q) / (n + 1),
+    They come from the ratio recurrence W(n + 1) / W(n) = (N - n) (p/q) / (n + 1),
     p/q = Fraction(p) / Fraction(1.0 - p), run outward from the mode and normalized by their
-    own sum, so no factorial enters.  A count is inside iff p - eps <= n/N <= p + eps for the
-    decimals that p and eps print.
+    own sum, so no factorial enters.
     """
     ratio = Fraction(prob) / Fraction(1.0 - prob)
-    lower, upper = Fraction(repr(prob)) - Fraction(repr(eps)), Fraction(repr(prob)) + Fraction(repr(eps))
-    lo, hi = math.ceil(copies * lower), math.floor(copies * upper)
     first, last = int(counts[0]), int(counts[-1])
     mode = min(max(math.floor((copies + 1) * ratio / (1 + ratio)), first), last)
-    with localcontext() as context:
-        context.prec = 50
+    with localcontext(prec=50):
         step = Decimal(ratio.numerator) / Decimal(ratio.denominator)
         weights = {mode: Decimal(1)}
         for n in range(mode, last):
             weights[n + 1] = weights[n] * (copies - n) * step / (n + 1)
         for n in range(mode, first, -1):
             weights[n - 1] = weights[n] * n / ((copies - n + 1) * step)
-        sides = [Decimal(0)] * 3
-        for n, weight in weights.items():
-            sides[(n >= lo) + (n > hi)] += weight
-        total = sum(sides)
-        return [side / total for side in sides]
+        total = sum(weights.values())
+        return [weights[n] / total for n in range(first, last + 1)]
+
+
+# (p, N, eps) -> bounds on the relative errors of the mean, of the variance about p and of the
+# surprise index at n = round(Np + 2 sqrt(Npq)): ten times the worst measured, which follows each
+# case and is the same on numpy's loops with and without AVX-512
+BAND_REFERENCES = {
+    (0.3, 5 * 10**6, 0.001): (3.2e-15, 3.7e-16, 2.3e-15),  # 3.15e-16, 3.69e-17, 2.26e-16
+    (0.6437, 5 * 10**6, 0.001): (3.5e-15, 5.7e-16, 4.7e-15),  # 3.45e-16, 5.62e-17, 4.66e-16
+    (0.3, 10**5, 0.005): (8.0e-15, 7.2e-15, 2.7e-15),  # 7.96e-16, 7.11e-16, 2.61e-16
+    (0.05, 10**3, 0.02): (1.8e-15, 3.7e-16, 6.5e-15),  # 1.80e-16, 3.70e-17, 6.41e-16
+}
+# pytest groups a module fixture's tests by parameter index, so the windows take the same four
+# cases first, each made once for all three tests, and add N = 10^7 last
+WINDOW_CASES = [*BAND_REFERENCES, (0.3, 10**7, 0.001)]
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
+@pytest.fixture(scope="module")
+def reference(request):
+    """A case, its band and the band's weights to 50 digits, made once per case."""
+    prob, copies, _ = request.param
+    band = two_level_band(SingleCopyState.from_alpha_probability(prob), copies)
+    return request.param, band, reference_weights(prob, copies, band.level_counts(0))
 
 
 # The worst relative error measured per side is (below, inside, above); both outer sides
-# err by the kernel's slope in the log weight away from the mode (ROADMAP item 8).
-@pytest.mark.parametrize(
-    "prob, copies, eps",
-    [
-        (0.3, 5 * 10**6, 0.001),  # 1.38e-13, 2.97e-16, 1.37e-13
-        (0.6437, 5 * 10**6, 0.001),  # 3.01e-13, 3.01e-16, 3.02e-13
-        (0.3, 10**5, 0.005),  # 1.44e-14, 6.94e-16, 1.40e-14
-        (0.05, 10**3, 0.02),  # 1.2e-16, 2.2e-16, 5.1e-17
-    ],
-)
-def test_window_sides_match_a_50_digit_ratio_recurrence(prob, copies, eps):
-    band = two_level_band(SingleCopyState.from_alpha_probability(prob), copies)
+# err by the kernel's slope in the log weight away from the mode (ROADMAP item 8):
+# (0.3, 5e6, 0.001) 1.38e-13, 2.97e-16, 1.37e-13; (0.6437, 5e6, 0.001) 3.01e-13, 3.01e-16, 3.02e-13;
+# (0.3, 1e5, 0.005) 1.44e-14, 6.94e-16, 1.40e-14; (0.05, 1e3, 0.02) 1.2e-16, 2.2e-16, 5.1e-17;
+# (0.3, 1e7, 0.001) 2.70e-13, 5.20e-16, 2.69e-13.
+@pytest.mark.parametrize("reference", WINDOW_CASES, ids=case_id, indirect=True)
+def test_window_sides_match_a_50_digit_ratio_recurrence(reference):
+    (prob, copies, eps), band, exact = reference
     window = window_masses(band, 0, prob, eps)
     got = (window.mass_below, window.mass_inside, window.mass_above)
-    exact = reference_sides(prob, copies, band.level_counts(0), eps)
-    errors = [float(abs(Decimal(value) - side) / side) for value, side in zip(got, exact)]
+    # a count is inside iff p - eps <= n/N <= p + eps for the decimals that p and eps print
+    lower, upper = Fraction(repr(prob)) - Fraction(repr(eps)), Fraction(repr(prob)) + Fraction(repr(eps))
+    lo, hi = math.ceil(copies * lower), math.floor(copies * upper)
+    with localcontext(prec=50):
+        sides = [Decimal(0)] * 3
+        for n, weight in zip(band.level_counts(0).tolist(), exact):
+            sides[(n >= lo) + (n > hi)] += weight
+        errors = [float(abs(Decimal(value) - side) / side) for value, side in zip(got, sides)]
     assert errors[0] <= 1e-12 and errors[2] <= 1e-12, errors
     assert errors[1] <= 1e-14, errors
+
+
+@pytest.mark.parametrize("reference", BAND_REFERENCES, ids=case_id, indirect=True)
+def test_moments_match_a_50_digit_ratio_recurrence(reference):
+    case, band, exact = reference
+    prob, copies, _ = case
+    mean_bound, variance_bound, _ = BAND_REFERENCES[case]
+    moments = frequency_moments(band)
+    counts = band.level_counts(0).tolist()
+    with localcontext(prec=50):
+        center = copies * Decimal(prob)
+        mean = sum(n * weight for n, weight in zip(counts, exact)) / copies
+        # about p, as frequency_moments takes it: the sum of (n - Np)^2 w, over N^2
+        variance = sum((n - center) ** 2 * weight for n, weight in zip(counts, exact)) / copies**2
+        mean_error = float(abs(Decimal(moments.mean) - mean) / mean)
+        variance_error = float(abs(Decimal(moments.variance) - variance) / variance)
+    assert mean_error <= mean_bound and variance_error <= variance_bound, (mean_error, variance_error)
+
+
+@pytest.mark.parametrize("reference", BAND_REFERENCES, ids=case_id, indirect=True)
+def test_surprise_index_matches_a_50_digit_ratio_recurrence(reference):
+    case, band, exact = reference
+    prob, copies, _ = case
+    observed = round(copies * prob + 2 * math.sqrt(copies * prob * (1 - prob)))
+    masses = finite_run_distribution(SingleCopyState.from_alpha_probability(prob), copies)
+    got = surprise_index(masses, observed)
+    # summed over the band counts that surprise_index's own comparison selects; the counts
+    # outside the band weigh 0.0 in freqborn and less than the smallest subnormal in truth
+    first = int(band.level_counts(0)[0])
+    selected = np.flatnonzero(masses[first : first + band.num_sectors] <= masses[observed]).tolist()
+    with localcontext(prec=50):
+        expected = sum(exact[index] for index in selected)
+        error = float(abs(Decimal(got) - expected) / expected)
+    assert error <= BAND_REFERENCES[case][2], error
 
 
 # --- the exactly rounded sum ------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +509,22 @@ def test_csv_rejects_infinite_grid_coordinates(tmp_path, grid):
     write_csv(path, [f"{x},1.0,0.0" for x in grid])
     with pytest.raises(ValueError, match="grid coordinates must be finite"):
         read_wavefunction_csv(str(path))
+
+
+# a quoted cell sends the file to the csv path, the others take np.loadtxt
+@pytest.mark.parametrize("renormalize", [False, True])
+@pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", '"inf"'])
+def test_csv_rejects_non_finite_samples_without_a_warning(tmp_path, cell, column, renormalize):
+    # GridWavefunction is the one gate, and 1j * inf must not warn on the way there
+    rows = [["0.0", "1.0", "0.0"], ["0.5", "1.0", "0.0"], ["1.0", "1.0", "0.0"]]
+    rows[1][column] = cell
+    path = tmp_path / "psi.csv"
+    write_csv(path, [",".join(row) for row in rows])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^samples must be finite$"):
+            read_wavefunction_csv(str(path), renormalize=renormalize)
 
 
 def test_csv_span_overflow_is_a_normalization_error(tmp_path):

@@ -1,7 +1,7 @@
 """The tier-1 pytest settings report a failing hypothesis test as a failure, the
 benchmark checker's own tests pass, the recorded hashes hold on numpy's loops
-without AVX-512, both ways of starting the CLI call one entry, and a log weight
-becomes a weight in one place."""
+without AVX-512, both ways of starting the CLI call one entry, a log weight
+becomes a weight in one place, and each error message is raised from one place."""
 
 import ast
 import subprocess
@@ -105,3 +105,24 @@ def test_a_log_weight_becomes_a_weight_in_one_place():
     package = ROOT / "src" / "freqborn"
     sites = [site for path in sorted(package.glob("*.py")) for site in exp_sites(ast.parse(path.read_text()), path.stem)]
     assert sites == ["decomposition.FrequencyDecomposition.__init__"]
+
+
+def raised_text(node):
+    """A raised string literal, each f-string field read as ``{}``; None for any other argument."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(part.value if isinstance(part, ast.Constant) else "{}" for part in node.values)
+    return None
+
+
+def test_each_error_message_is_raised_from_one_place():
+    # so each input rule is spelled at one site; a message held in a named constant has one home
+    sites = {}
+    for path in sorted((ROOT / "src" / "freqborn").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                for text in filter(None, map(raised_text, node.exc.args)):
+                    sites.setdefault(text, []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) > 40
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}
