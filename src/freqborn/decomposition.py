@@ -209,30 +209,29 @@ def compositions(total: int, parts: int) -> np.ndarray:
     order), so each level's column is contiguous for the weight kernel.
 
     One pass per level and no recursion: each prefix with ``r`` copies left
-    owns ``r + 1`` children, taking 0..r at the next level, and the last
-    level takes what is left.  The owner indices are then composed backward
-    to gather every earlier level's column in row order.
+    has ``r + 1`` children, taking 0..r at the next level, and the last
+    level takes what is left.  A prefix with ``n`` copies left heads
+    ``C(n + rest, rest)`` consecutive rows, its completions over the
+    ``rest`` later branching levels, so each level's column is its prefix
+    values repeated that often, and only one level's prefixes are held.
     """
     total = check_whole(total, "total")
     parts = check_whole(parts, "parts")
     if total < 0 or parts < 1:
         raise ValueError(f"need total >= 0 and parts >= 1, got ({total}, {parts})")
+    counts = np.empty((math.comb(total + parts - 1, parts - 1), parts), dtype=np.int64, order="F")
     left = np.array([total], dtype=np.int64)
-    levels = []
-    for _ in range(parts - 1):
+    for level in range(parts - 1):
         sizes = left + 1
-        owner = np.repeat(np.arange(left.size, dtype=np.int64), sizes)
-        value = np.arange(owner.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        value = np.arange(int(sizes.sum()), dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         left = np.repeat(left, sizes) - value
-        levels.append((owner, value))
-    counts = np.empty((left.size, parts), dtype=np.int64, order="F")
+        rest = parts - 2 - level
+        if rest:
+            ways = np.array([math.comb(n + rest, rest) for n in range(total + 1)], dtype=np.int64)
+            counts[:, level] = np.repeat(value, ways[left])
+        else:
+            counts[:, level] = value
     counts[:, -1] = left
-    # the rows of the last branching level are the output rows, in order
-    rows = slice(None)
-    for level in range(parts - 2, -1, -1):
-        owner, value = levels[level]
-        counts[:, level] = value[rows]
-        rows = owner[rows]
     return counts
 
 

@@ -55,4 +55,5 @@ def surprise_index(masses: np.ndarray, observed_count: int) -> float:
     likelihood class is collectively improbable.
     """
     threshold = masses[check_observed_count(observed_count, masses.size - 1)]
-    return exact_sum(masses[masses <= threshold])
+    # exact_sum drops zeros anyway; leaving them out here copies only the band, not 0..N_inner
+    return exact_sum(masses[(masses <= threshold) & (masses != 0.0)])

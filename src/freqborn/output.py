@@ -23,16 +23,16 @@ cell is +0.0 is formatted; the +0.0 cells around it (the sectors whose
 weight underflows) get the text ``0.0`` as is.  In JSON an infinity prints
 as ``null`` and a NaN cell raises ``ValueError``, as ``allow_nan=False`` does.
 
-A table of two or more blocks is rendered by two processes: a forked child
-renders the odd blocks and writes each to a pipe as a frame (an 8-byte
-length, then the UTF-8 text), while this process renders the even blocks and
-reads the frames in order.  Each process converts only its own blocks to
-Python objects, and the document is joined once, with the serial bytes.  The
-child is reaped on every path, an exception or an interrupt included.  The
-blocks render serially instead where ``os.fork`` is missing, where the
-process may use only one CPU, and where the fork fails.  If the child stops
-early (a NaN JSON cell, say), this process renders the blocks it did not
-send, so it raises what the serial path raises.
+A table of two or more blocks is split once over two processes: this
+process renders the first half of the blocks, while a forked child renders
+the second half and writes it to a pipe as one UTF-8 text, joined as the
+document joins blocks.  Each process converts only its own blocks to Python
+objects, and the document is joined once, with the serial bytes.  The child
+is reaped on every path, an exception or an interrupt included.  The blocks
+render serially instead where ``os.fork`` is missing, where the process may
+use only one CPU, and where the fork fails.  If the child does not exit 0 (a
+NaN JSON cell, say), this process renders the child's half itself, so it
+raises what the serial path raises.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ _ROWS_LINE = '\n  "rows": []'
 # json.dumps' and float.__repr__'s spellings of the infinities; a string cell is quoted
 _INFINITY_TO_NULL = {"Infinity": "null", "-Infinity": "null", "inf": "null", "-inf": "null"}
 _NAN_MESSAGE = "Out of range float values are not JSON compliant"
-# Rows render in blocks of this many; from two blocks on, a forked child renders the odd blocks.
+# Rows render in blocks of this many; from two blocks on, a forked child renders the second half.
 BLOCK_ROWS = 2**13
 
 
@@ -91,23 +91,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _read_frame(pipe) -> str | None:
-    """The next block text the child sent, or None where its frames end early."""
-    header = pipe.read(8)
-    if len(header) < 8:
-        return None
-    size = int.from_bytes(header, "little")
-    data = pipe.read(size)
-    return data.decode() if len(data) == size else None
-
-
 def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separator: str) -> list[str]:
-    """Each block's rows, as ``row`` of each row's cell texts joined by ``separator``.
+    """The rows, as ``row`` of each row's cell texts, in texts that join with ``separator``.
 
-    ``cells`` formats one column's ``[start:start + BLOCK_ROWS]`` slice.  From
-    two blocks on, a forked child renders the odd blocks and sends each as a
-    frame (8-byte length, then the UTF-8 text) while this process renders the
-    even ones and reads the frames in order.
+    ``cells`` formats one column's ``[start:start + BLOCK_ROWS]`` slice, and
+    each text is one or more blocks' rows joined by ``separator``.  Of B >= 2
+    blocks this process renders the first ceil(B/2), one text each, and a
+    forked child renders the rest as one last text.
     """
 
     def render(start: int) -> str:
@@ -117,6 +107,7 @@ def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separa
     starts = range(0, len(columns[0]), BLOCK_ROWS)
     if len(starts) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
         return list(map(render, starts))
+    half = (len(starts) + 1) // 2
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
@@ -139,27 +130,24 @@ def _render_rows(columns: list[Sequence], cells: Callable, row: Callable, separa
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                for start in starts[1::2]:
-                    data = render(start).encode()
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
+                pipe.write(separator.join(map(render, starts[half:])).encode())
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
-    blocks = []
     try:
         # on an exception the read end closes first, so a child still
         # writing fails at once and exits, and waitpid returns
         with open(read_end, "rb") as pipe:
-            for index, start in enumerate(starts):
-                # a block the child did not send (a NaN JSON cell, say) renders here,
-                # so it raises what the serial path raises
-                text = _read_frame(pipe) if index % 2 else None
-                blocks.append(render(start) if text is None else text)
+            blocks = list(map(render, starts[:half]))
+            text = pipe.read()
     finally:
-        os.waitpid(pid, 0)
-    return blocks
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        # the child stopped early (a NaN JSON cell, say): its blocks render here,
+        # so this raises what the serial path raises
+        return blocks + list(map(render, starts[half:]))
+    return blocks + [text.decode()]
 
 
 def _float_texts(block: np.ndarray) -> list[str]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from conftest import max_weight_deviation
 from freqborn.cli import main as cli_main
 from freqborn.concentration import (
     chebyshev_bound,
@@ -82,12 +83,6 @@ def test_criterion_2_variance_identity():
     )
 
 
-def _max_weight_deviation(closed, oracle):
-    for level in range(closed.num_levels):
-        assert np.array_equal(closed.level_counts(level), oracle.level_counts(level))
-    return float(np.max(np.abs(np.exp(closed.log_weights) - np.exp(oracle.log_weights))))
-
-
 def test_criterion_3_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
@@ -96,7 +91,7 @@ def test_criterion_3_oracle_equivalence():
         for copies in range(1, 13):
             closed = decompose_two_level(state, copies)
             oracle = brute_force_decompose(state, copies)
-            worst = max(worst, _max_weight_deviation(closed, oracle))
+            worst = max(worst, max_weight_deviation(closed, oracle))
     multi_cases = (
         (SingleCopyState.from_probabilities([0.2, 0.3, 0.5]), 9),
         (SingleCopyState.from_probabilities([0.1, 0.2, 0.3, 0.4]), 7),
@@ -105,7 +100,7 @@ def test_criterion_3_oracle_equivalence():
         for copies in range(1, max_copies + 1):
             closed = decompose_multilevel(state, copies)
             oracle = brute_force_decompose(state, copies)
-            worst = max(worst, _max_weight_deviation(closed, oracle))
+            worst = max(worst, max_weight_deviation(closed, oracle))
     elapsed = time.perf_counter() - start
     report(
         3,
@@ -158,7 +153,7 @@ def test_criterion_5_concrete_bound_value():
 def test_criterion_6_localization_verdicts():
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 10**5)
     verdict = check_localization(
-        decomp.level_counts(0) / 10**5, np.exp(decomp.log_weights), eps=0.01, mass_tolerance=0.021
+        decomp.level_counts(0) / 10**5, decomp.weights, eps=0.01, mass_tolerance=0.021
     )
     uniform = check_localization(np.arange(100) / 99, np.full(100, 0.01), eps=0.01, mass_tolerance=0.021)
     passed = (
@@ -181,7 +176,7 @@ def test_criterion_7_region_reduction_equivalence():
     for a_sq in (Fraction(1, 4), Fraction(1, 2)):
         state = SingleCopyState.from_alpha_probability(float(a_sq))
         for copies in (10, 100, 1000):
-            weights = np.exp(decompose_two_level(state, copies).log_weights)
+            weights = decompose_two_level(state, copies).weights
             for n in range(copies + 1):
                 exact = math.comb(copies, n) * a_sq**n * (1 - a_sq) ** (copies - n)
                 worst = max(worst, abs(float(weights[n]) - float(exact)))

@@ -85,9 +85,9 @@ def test_pascal_recurrence_in_linear_domain():
     # W(N, n) = p W(N-1, n-1) + (1-p) W(N-1, n) for the two-level weights
     prob = 0.3
     state = SingleCopyState.from_alpha_probability(prob)
-    previous = np.exp(decompose_two_level(state, 1).log_weights)
+    previous = decompose_two_level(state, 1).weights
     for total in range(2, 61):
-        current = np.exp(decompose_two_level(state, total).log_weights)
+        current = decompose_two_level(state, total).weights
         for chosen in range(1, total):
             parts = prob * previous[chosen - 1] + (1.0 - prob) * previous[chosen]
             assert abs(current[chosen] - parts) <= 1e-9 * current[chosen]

@@ -30,7 +30,7 @@ def two_level(prob, copies):
 
 
 def frequency_masses(decomp, level=0):
-    return decomp.level_counts(level) / decomp.num_copies, np.exp(decomp.log_weights)
+    return decomp.level_counts(level) / decomp.num_copies, decomp.weights
 
 
 # --- chebyshev_bound ---------------------------------------------------------
@@ -97,7 +97,7 @@ def test_bad_eps_is_rejected_before_decomposing(monkeypatch, module, eps):
 
 def test_window_boundary_points_count_as_inside():
     decomp = two_level(0.3, 10)
-    weights = np.exp(decomp.log_weights)
+    weights = decomp.weights
     window = window_masses(decomp, 0, 0.5, 0.2)
     # lower edge 0.5-0.2 equals 3/10 as a double, so n=3 sits inside;
     # upper edge 0.5+0.2 lands just above 7/10, so n=7 sits inside too
@@ -115,7 +115,7 @@ def test_window_boundary_points_count_as_inside():
 )
 def test_window_decimal_edges_count_as_inside(r0, eps, copies, first_inside, last_inside):
     decomp = two_level(0.5, copies)
-    weights = np.exp(decomp.log_weights)
+    weights = decomp.weights
     window = window_masses(decomp, 0, r0, eps)
     assert window.mass_below == math.fsum(weights[:first_inside])
     assert window.mass_inside == math.fsum(weights[first_inside : last_inside + 1])
@@ -133,7 +133,7 @@ def test_window_decimal_edges_count_as_inside(r0, eps, copies, first_inside, las
 def test_window_classifies_counts_against_exact_decimal_edges(k, j, copies, level):
     r0, eps = k / 10**4, j / 10**3
     decomp = two_level(0.3, copies)
-    weights = np.exp(decomp.log_weights)
+    weights = decomp.weights
     low = Fraction(k, 10**4) - Fraction(j, 10**3)
     high = Fraction(k, 10**4) + Fraction(j, 10**3)
     freqs = [Fraction(n, copies) for n in decomp.level_counts(level).tolist()]

@@ -555,7 +555,7 @@ def projector_weights(a_sq, copies):
     psi = GridWavefunction(0.0, 1.0, np.full(4, 0.5))
     region = Region.parse(f"0:{4 * a_sq}") if a_sq > 0.0 else Region(())
     state = SingleCopyState.from_alpha_probability(region_probability(psi, region))
-    return np.exp(decompose_two_level(state, copies).log_weights)
+    return decompose_two_level(state, copies).weights
 
 
 def test_projector_weight_quarter_example():
@@ -578,7 +578,7 @@ def test_projector_weight_domain_errors():
 @pytest.mark.parametrize("copies", [10, 100, 1000])
 def test_projector_weight_equals_two_level_weight(a_sq, copies):
     decomp = decompose_two_level(SingleCopyState.from_alpha_probability(a_sq), copies)
-    expected = np.exp(decomp.log_weights)
+    expected = decomp.weights
     weights = projector_weights(a_sq, copies)
     for n in range(0, copies + 1, max(1, copies // 25)):
         assert abs(weights[n] - expected[n]) <= 1e-12

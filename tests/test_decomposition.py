@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import max_weight_deviation
 from freqborn.combinatorics import LOG_ZERO
 from freqborn.decomposition import (
     BRUTE_FORCE_BLOCK,
@@ -114,8 +116,7 @@ def test_pure_state_concentrates_all_weight():
 
 def test_two_level_matches_enumerated_values():
     # expansion of all 2^3 outcome sequences for |a|^2 = 0.3 grouped by count
-    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 3)
-    weights = np.exp(decomp.log_weights)
+    weights = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 3).weights
     expected = [0.343, 0.441, 0.189, 0.027]
     assert np.max(np.abs(weights - expected)) <= 1e-12
 
@@ -147,8 +148,7 @@ def test_two_level_capacity_guard():
 
 def test_exact_rational_oracle_at_hundred_copies():
     # exact pmf C(100,n) 3^n 7^(100-n) / 10^100 via big rationals
-    decomp = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 100)
-    weights = np.exp(decomp.log_weights)
+    weights = decompose_two_level(SingleCopyState.from_alpha_probability(0.3), 100).weights
     for n in range(101):
         exact = Fraction(math.comb(100, n) * 3**n * 7 ** (100 - n), 10**100)
         assert weights[n] == pytest.approx(float(exact), rel=1e-13)
@@ -176,6 +176,16 @@ def test_compositions_cover_every_vector_once(total, parts):
     assert rows == sorted(rows)
 
 
+def test_compositions_peak_is_about_the_matrix_it_returns():
+    tracemalloc.start()
+    try:
+        matrix = compositions(1, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * matrix.nbytes
+
+
 def test_multilevel_uniform_three_level_example():
     # all 3^2 sequences grouped: doubles carry 1/9 each, mixed pairs 2/9
     state = SingleCopyState.from_probabilities([1 / 3, 1 / 3, 1 / 3], renormalize=True)
@@ -197,12 +207,11 @@ def test_multilevel_zero_level_matches_reduced_two_level():
     state = SingleCopyState.from_probabilities([0.5, 0.5, 0.0])
     reduced = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), 3)
     decomp = decompose_multilevel(state, 3)
-    for counts, log_weight in zip(decomp.counts.tolist(), decomp.log_weights.tolist()):
+    for counts, log_weight, weight in zip(decomp.counts.tolist(), decomp.log_weights.tolist(), decomp.weights):
         if counts[2] > 0:
             assert log_weight == LOG_ZERO
         else:
-            expected = math.exp(reduced.log_weights[counts[0]])
-            assert math.exp(log_weight) == pytest.approx(expected, abs=1e-12)
+            assert weight == pytest.approx(reduced.weights[counts[0]], abs=1e-12)
 
 
 @pytest.mark.parametrize("prob", [0.3, 0.5, 1.0])
@@ -230,7 +239,7 @@ def test_brute_force_single_copy_weights_are_level_probs():
     state = SingleCopyState.from_probabilities([0.2, 0.3, 0.5])
     oracle = brute_force_decompose(state, 1)
     assert oracle.counts.tolist() == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
-    weights = np.exp(oracle.log_weights)
+    weights = oracle.weights
     assert weights[0] == pytest.approx(0.5, abs=1e-15)
     assert weights[1] == pytest.approx(0.3, abs=1e-15)
     assert weights[2] == pytest.approx(0.2, abs=1e-15)
@@ -341,13 +350,6 @@ def test_brute_force_on_thousands_of_levels_is_fast():
     assert elapsed < 3.0
 
 
-def max_weight_deviation(closed, oracle):
-    assert closed.num_sectors == oracle.num_sectors
-    for level in range(closed.num_levels):
-        assert np.array_equal(closed.level_counts(level), oracle.level_counts(level))
-    return float(np.max(np.abs(np.exp(closed.log_weights) - np.exp(oracle.log_weights))))
-
-
 @pytest.mark.parametrize("prob", [0.0, 0.3, 0.5, 1.0])
 def test_two_level_agrees_with_brute_force(prob):
     state = SingleCopyState.from_alpha_probability(prob)
@@ -405,7 +407,7 @@ def test_total_mass_matches_exactly_rounded_sum():
             probs[rng.integers(m)] = 0.0
         state = SingleCopyState.from_probabilities((probs / probs.sum()).tolist(), renormalize=True)
         decomp = decompose_multilevel(state, int(rng.integers(1, max_copies[m] + 1)))
-        reference = math.fsum(np.exp(decomp.log_weights).tolist())
+        reference = math.fsum(decomp.weights.tolist())
         assert abs(total_mass(decomp) - reference) <= 1e-15 * reference
 
 
@@ -484,11 +486,9 @@ def test_marginalizing_multilevel_reproduces_two_level():
     state = SingleCopyState.from_probabilities([0.5, 0.3, 0.2])
     copies = 12
     decomp = decompose_multilevel(state, copies)
-    marginal = np.bincount(
-        decomp.level_counts(0), weights=np.exp(decomp.log_weights), minlength=copies + 1
-    )
+    marginal = np.bincount(decomp.level_counts(0), weights=decomp.weights, minlength=copies + 1)
     reduced = decompose_two_level(SingleCopyState.from_alpha_probability(0.5), copies)
-    assert np.max(np.abs(marginal - np.exp(reduced.log_weights))) <= 1e-10
+    assert np.max(np.abs(marginal - reduced.weights)) <= 1e-10
 
 
 # --- whole numbers ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for finite-run distributions, surprise, and the outer check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_masses_are_exponentials_of_the_two_level_weights():
     state = SingleCopyState.from_alpha_probability(0.3)
     masses = finite_run_distribution(state, 100)
     decomp = decompose_two_level(state, 100)
-    assert np.array_equal(masses, np.exp(decomp.log_weights))
+    assert np.array_equal(masses, decomp.weights)
     assert not masses.flags.writeable
 
 
@@ -75,6 +76,18 @@ def test_surprise_is_monotone_in_outcome_likelihood():
     surprises = [surprise_index(masses, n) for n in by_mass]
     assert all(a <= b + 1e-15 for a, b in zip(surprises, surprises[1:]))
     assert surprises[-1] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_surprise_index_copies_only_the_band():
+    # the band holds about 1% of the 0..10^6 counts; every other mass is 0.0
+    masses = run_distribution(0.3, 10**6)
+    tracemalloc.start()
+    try:
+        surprise_index(masses, 300_000 + 900)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < masses.nbytes / 2
 
 
 def test_surprise_index_range_check():

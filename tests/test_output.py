@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from unittest import mock
@@ -318,22 +319,44 @@ def test_interrupt_while_rendering_reaps_the_child(forks):
     assert_no_child_left()
 
 
-def test_nan_in_a_late_odd_block_raises_the_serial_error(forks, monkeypatch):
-    """The child sends blocks 1, 3 and 5, then stops at block 7; this process renders it and raises."""
-    monkeypatch.setattr(output, "BLOCK_ROWS", 2)
-    weights = np.arange(20) / 7
-    weights[15] = math.nan
-    table = Table({"n": np.arange(20), "weight": weights}, {"N": 20})
-    frames = []
-    read_frame = output._read_frame
-    monkeypatch.setattr(output, "_read_frame", lambda pipe: frames.append(read_frame(pipe)) or frames[-1])
-    with pytest.raises(ValueError) as expected:
-        serial(render_json, table)
-    forks.clear()
-    with pytest.raises(ValueError) as raised:
-        render_json(table)
-    assert len(forks) == 1
-    assert [frame is None for frame in frames] == [False, False, False, True]
-    assert str(raised.value) == str(expected.value)
+def test_child_that_exits_non_zero_without_writing_gives_the_serial_bytes(forks, monkeypatch):
+    fork = os.fork
+
+    def failing_child():
+        pid = fork()
+        if pid == 0:
+            os._exit(3)
+        return pid
+
+    monkeypatch.setattr(os, "fork", failing_child)
+    table = float_table(6)
+    for render in (render_csv, render_json):
+        assert render(table) == serial(render, table)
+    assert len(forks) == 2
     assert_no_child_left()
 
+
+@pytest.fixture
+def deadline():
+    """Fails the test, instead of hanging it, if it runs longer than 60 s."""
+
+    def expire(signum, frame):
+        pytest.fail("the render did not finish within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_error_in_this_half_reaps_a_child_whose_half_fills_the_pipe(forks, monkeypatch, deadline):
+    """The child's half is larger than a pipe buffer, so it can finish only once the pipe closes."""
+    # the child's 2,000 rows take over 200 KB, a Linux pipe buffer 64 KiB
+    monkeypatch.setattr(output, "BLOCK_ROWS", 1000)
+    table = Table({"n": range(4000), "label": ["x" * 100] * 4000}, {"N": 4000})
+    table.columns["label"][0] = Interrupting()
+    with pytest.raises(KeyboardInterrupt):
+        render_csv(table)
+    assert len(forks) == 1
+    assert_no_child_left()

@@ -1,7 +1,8 @@
 """The tier-1 pytest settings report a failing hypothesis test as a failure, the
 benchmark checker's own tests pass, the recorded hashes hold on numpy's loops
 without AVX-512, both ways of starting the CLI call one entry, a log weight
-becomes a weight in one place, and each error message is raised from one place."""
+becomes a weight in one place that the tests read too, and each error message
+is raised from one place."""
 
 import ast
 import subprocess
@@ -91,20 +92,43 @@ def test_script_entry_is_the_main_block_call():
     assert script.partition(":")[0] == "freqborn.cli"
 
 
-def exp_sites(node, scope):
-    """The enclosing definition of every reference to numpy's ``exp`` below ``node``."""
+def sites(node, scope, match):
+    """The enclosing definition of every node below ``node`` that ``match`` accepts."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Attribute) and ast.unparse(child) in ("np.exp", "numpy.exp"):
+        if match(child):
             yield scope
         named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        yield from exp_sites(child, f"{scope}.{child.name}" if named else scope)
+        yield from sites(child, f"{scope}.{child.name}" if named else scope, match)
+
+
+def is_numpy_exp(node):
+    return isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.exp", "numpy.exp")
+
+
+def is_exp_of_log_weights(node):
+    """A call of numpy's or math's ``exp`` on an expression that reads some ``log_weights``."""
+    return (
+        isinstance(node, ast.Call)
+        and ast.unparse(node.func) in ("np.exp", "numpy.exp", "math.exp")
+        and any(isinstance(part, ast.Attribute) and part.attr == "log_weights" for part in ast.walk(node))
+    )
 
 
 def test_a_log_weight_becomes_a_weight_in_one_place():
     # so the rounding of every linear weight is decided on one line
     package = ROOT / "src" / "freqborn"
-    sites = [site for path in sorted(package.glob("*.py")) for site in exp_sites(ast.parse(path.read_text()), path.stem)]
-    assert sites == ["decomposition.FrequencyDecomposition.__init__"]
+    found = [site for path in sorted(package.glob("*.py")) for site in sites(ast.parse(path.read_text()), path.stem, is_numpy_exp)]
+    assert found == ["decomposition.FrequencyDecomposition.__init__"]
+
+
+def test_tests_read_the_one_weight_array():
+    # a test that needs linear weights reads ``weights``; one test pins that array to its definition
+    found = [
+        site
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for site in sites(ast.parse(path.read_text()), path.stem, is_exp_of_log_weights)
+    ]
+    assert found == ["test_decomposition.test_every_route_carries_read_only_weights_equal_to_exp_of_its_log_weights"]
 
 
 def raised_text(node):
